@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "core/build_info.h"
 #include "core/parallel_runner.h"
 #include "core/shard.h"
 #include "sim/driver.h"
@@ -1081,6 +1082,9 @@ int main(int argc, char** argv) {
     w.kv("jobs", static_cast<std::uint64_t>(runner.manifest().jobs_used));
     w.kv("host_cores",
          static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+    w.kv("build_type", core::build_type());
+    w.kv("build_march", core::build_march());
+    w.kv("build_compiler", core::build_compiler());
     w.kv("shard_jobs", static_cast<std::uint64_t>(shard_jobs));
     w.kv("base_seed", kBaseSeed);
     w.kv("quick", quick);

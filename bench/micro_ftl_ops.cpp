@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/ssd.h"
 #include "ftl/block_allocator.h"
@@ -46,15 +47,43 @@ BENCHMARK(BM_WorkloadNext);
 
 void BM_WriteBufferInsertExtract(benchmark::State& state) {
   ftl::WriteBuffer buffer(4096);
+  std::vector<ftl::BufferedSector> out;
   util::Xoshiro256 rng(3);
   for (auto _ : state) {
     const std::uint64_t sector = rng.below(1 << 16);
     buffer.insert(sector, sector + 1, true);
-    if (buffer.size() > 2048)
-      benchmark::DoNotOptimize(buffer.extract_oldest_page_group(4));
+    if (buffer.size() > 2048) {
+      buffer.extract_oldest_page_group(4, out);
+      benchmark::DoNotOptimize(out.data());
+      benchmark::ClobberMemory();
+    }
   }
 }
 BENCHMARK(BM_WriteBufferInsertExtract);
+
+// The sync write path of subFTL and sectorLog: a 1-sector write lands
+// between two async neighbours already buffered in its page and pulls the
+// whole page group out at once, while the rest of the buffer sits at a
+// typical fill of isolated pages the extraction must probe past.
+void BM_WriteBufferSyncExtract(benchmark::State& state) {
+  constexpr std::uint32_t kSubs = 4;
+  ftl::WriteBuffer buffer(512);
+  std::vector<ftl::BufferedSector> out;
+  // Background pages 2 apart (never a chain), above the target range.
+  for (std::uint64_t i = 0; i < 384; ++i)
+    buffer.insert((1u << 20) + 2 * kSubs * i, i, false);
+  util::Xoshiro256 rng(4);
+  for (auto _ : state) {
+    const std::uint64_t first = 2 * kSubs * rng.below(1 << 14);
+    buffer.insert(first, 1, true);
+    buffer.insert(first + 2, 2, true);
+    buffer.insert(first + 1, 3, true);  // the sync write
+    buffer.extract_page_group(first + 1, kSubs, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_WriteBufferSyncExtract);
 
 void BM_DeviceSubpageProgram(benchmark::State& state) {
   nand::Geometry geo;

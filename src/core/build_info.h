@@ -1,7 +1,9 @@
 // Build provenance for artifact self-description: version, git describe,
-// and the geometry profiles this binary knows. Printed by `espsim
-// --version` and embedded in every run manifest so sweep outputs can be
-// traced back to the exact tree that produced them.
+// build type, -march, compiler and the geometry profiles this binary
+// knows. Version, git describe and profiles are printed by `espsim
+// --version` and embedded in every run manifest; `macro_replay` also
+// stamps the build settings into its JSON `run` object, so outputs can be
+// traced back to the exact tree and build that produced them.
 #pragma once
 
 #include <string>
@@ -14,6 +16,15 @@ const char* build_version();
 /// `git describe --always --dirty` at configure time; "unknown" when the
 /// tree was built outside git.
 const char* build_git_describe();
+
+/// CMAKE_BUILD_TYPE of this build ("none" when unset).
+const char* build_type();
+
+/// The -march value the library was compiled with ("default" when none).
+const char* build_march();
+
+/// Compiler id and version, e.g. "GNU 13.2.0".
+const char* build_compiler();
 
 /// Comma-separated list of named geometry profiles compiled in.
 const char* build_geometry_profiles();

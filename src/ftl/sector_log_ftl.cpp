@@ -1,6 +1,7 @@
 #include "ftl/sector_log_ftl.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -79,7 +80,8 @@ SimTime SectorLogFtl::write_full_lpn(std::uint64_t lpn,
                                      const BufferedSector* group,
                                      SimTime now) {
   const std::uint32_t subs = geo_.subpages_per_page;
-  std::vector<std::uint64_t> tokens(subs);
+  std::array<std::uint64_t, nand::kMaxSubpagesPerPage> buf;
+  const std::span<std::uint64_t> tokens(buf.data(), subs);
   std::uint64_t small_sectors = 0;
   for (std::uint32_t s = 0; s < subs; ++s) {
     drop_log_copy(group[s].sector);
@@ -100,15 +102,16 @@ SimTime SectorLogFtl::append_to_log(std::span<const BufferedSector> group,
                                     SimTime now) {
   // One full-page program carrying this (<= Nsub) group -- logical-level
   // subpage granularity, physical-level full-page cost.
-  std::vector<SectorWrite> writes;
-  writes.reserve(group.size());
+  std::array<SectorWrite, nand::kMaxSubpagesPerPage> writes;
   std::uint64_t small_in_group = 0;
-  for (const BufferedSector& bs : group) {
+  for (std::size_t k = 0; k < group.size(); ++k) {
+    const BufferedSector& bs = group[k];
     drop_log_copy(bs.sector);
-    writes.push_back(SectorWrite{bs.sector, bs.token});
+    writes[k] = SectorWrite{bs.sector, bs.token};
     if (bs.small) ++small_in_group;
   }
-  const SimTime done = pool_log_.write_group(writes, now);
+  const SimTime done = pool_log_.write_group(
+      std::span(writes.data(), group.size()), now);
   stats_.small_service_flash_bytes +=
       small_in_group * (geo_.page_bytes / group.size());
   return done;
@@ -131,7 +134,8 @@ SimTime SectorLogFtl::merge_batch(std::span<const SectorWrite> batch,
     std::size_t j = i;
     while (j < sorted.size() && sorted[j].sector / subs == lpn) ++j;
 
-    std::vector<std::uint64_t> tokens(subs, 0);
+    std::array<std::uint64_t, nand::kMaxSubpagesPerPage> buf{};
+    const std::span<std::uint64_t> tokens(buf.data(), subs);
     SimTime t = now;
     const bool merges_old_page = l2p_[lpn] != nand::kUnmapped;
     if (merges_old_page) {
@@ -164,7 +168,7 @@ SimTime SectorLogFtl::merge_batch(std::span<const SectorWrite> batch,
   return done;
 }
 
-SimTime SectorLogFtl::flush_run(const std::vector<BufferedSector>& run,
+SimTime SectorLogFtl::flush_run(std::span<const BufferedSector> run,
                                 SimTime now) {
   // Placement mirrors subFTL: complete logical pages to the data region,
   // the rest appended to the log.
@@ -215,15 +219,13 @@ IoResult SectorLogFtl::write(std::uint64_t sector, std::uint32_t count,
 
   SimTime done = now + config_.buffer_insert_us;
   if (sync) {
-    const auto run =
-        buffer_.extract_page_group(sector, geo_.subpages_per_page);
-    done = std::max(done, flush_run(run, now));
+    buffer_.extract_page_group(sector, geo_.subpages_per_page, extracted_);
+    done = std::max(done, flush_run(extracted_, now));
   }
   while (buffer_.over_capacity()) {
-    const auto victim =
-        buffer_.extract_oldest_page_group(geo_.subpages_per_page);
-    if (victim.empty()) break;
-    done = std::max(done, flush_run(victim, now));
+    buffer_.extract_oldest_page_group(geo_.subpages_per_page, extracted_);
+    if (extracted_.empty()) break;
+    done = std::max(done, flush_run(extracted_, now));
   }
   return IoResult{done, true};
 }
@@ -280,10 +282,9 @@ IoResult SectorLogFtl::flush(SimTime now) {
                                     buffer_.size(), now);
   SimTime done = now;
   while (!buffer_.empty()) {
-    const auto run =
-        buffer_.extract_oldest_page_group(geo_.subpages_per_page);
-    if (run.empty()) break;
-    done = std::max(done, flush_run(run, now));
+    buffer_.extract_oldest_page_group(geo_.subpages_per_page, extracted_);
+    if (extracted_.empty()) break;
+    done = std::max(done, flush_run(extracted_, now));
   }
   return IoResult{done, true};
 }

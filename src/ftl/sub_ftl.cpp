@@ -1,6 +1,7 @@
 #include "ftl/sub_ftl.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -107,7 +108,8 @@ void SubFtl::drop_subpage_copy(std::uint64_t sector) {
 SimTime SubFtl::write_full_lpn(std::uint64_t lpn, const BufferedSector* group,
                                SimTime now) {
   const std::uint32_t subs = geo_.subpages_per_page;
-  std::vector<std::uint64_t> tokens(subs);
+  std::array<std::uint64_t, nand::kMaxSubpagesPerPage> buf;
+  const std::span<std::uint64_t> tokens(buf.data(), subs);
   std::uint64_t small_sectors = 0;
   for (std::uint32_t s = 0; s < subs; ++s) {
     // The fresh full page supersedes any subpage-region copy.
@@ -150,7 +152,7 @@ SimTime SubFtl::write_small_sector(const BufferedSector& bs, SimTime now) {
   return done;
 }
 
-SimTime SubFtl::flush_run(const std::vector<BufferedSector>& run,
+SimTime SubFtl::flush_run(std::span<const BufferedSector> run,
                           SimTime now) {
   // Data placement (Sec. 4.1): a COMPLETE logical page inside the flush
   // group goes to the full-page region; incomplete pages are small writes
@@ -180,7 +182,8 @@ SimTime SubFtl::rmw_into_fullpage(std::uint64_t sector, std::uint64_t token,
   // The overflow valve services a small write the CGM way; the whole
   // read + merge + full-page program attributes to RMW.
   const telemetry::CauseScope cause(sink_, telemetry::Cause::kRmw, lpn, now);
-  std::vector<std::uint64_t> tokens(subs, 0);
+  std::array<std::uint64_t, nand::kMaxSubpagesPerPage> buf{};
+  const std::span<std::uint64_t> tokens(buf.data(), subs);
   SimTime t = now;
   const bool merges_old_page = l2p_[lpn] != nand::kUnmapped;
   if (merges_old_page) {
@@ -212,7 +215,8 @@ SimTime SubFtl::evict_batch(std::span<const SectorWrite> batch, SimTime now,
   // pages in the full-page region -- ONE read-modify-write per logical
   // page, however many of its sectors the batch carries (sequential small
   // writes evict together, so this merge matters).
-  std::vector<SectorWrite> sorted(batch.begin(), batch.end());
+  std::vector<SectorWrite>& sorted = evict_sorted_;
+  sorted.assign(batch.begin(), batch.end());
   std::sort(sorted.begin(), sorted.end(),
             [](const SectorWrite& a, const SectorWrite& b) {
               return a.sector < b.sector;
@@ -220,13 +224,14 @@ SimTime SubFtl::evict_batch(std::span<const SectorWrite> batch, SimTime now,
   const std::uint32_t subs = geo_.subpages_per_page;
   SimTime done = now;
   std::size_t i = 0;
-  std::vector<std::uint64_t> tokens(subs, 0);
+  std::array<std::uint64_t, nand::kMaxSubpagesPerPage> buf;
+  const std::span<std::uint64_t> tokens(buf.data(), subs);
   while (i < sorted.size()) {
     const std::uint64_t lpn = sorted[i].sector / subs;
     std::size_t j = i;
     while (j < sorted.size() && sorted[j].sector / subs == lpn) ++j;
 
-    tokens.assign(subs, 0);
+    std::fill(tokens.begin(), tokens.end(), 0);
     SimTime t = now;
     const bool merges_old_page = l2p_[lpn] != nand::kUnmapped;
     if (merges_old_page) {
@@ -296,13 +301,13 @@ IoResult SubFtl::write(std::uint64_t sector, std::uint32_t count, bool sync,
 
   SimTime done = now + config_.buffer_insert_us;
   if (sync) {
-    const auto run = buffer_.extract_page_group(sector, geo_.subpages_per_page);
-    done = std::max(done, flush_run(run, now));
+    buffer_.extract_page_group(sector, geo_.subpages_per_page, extracted_);
+    done = std::max(done, flush_run(extracted_, now));
   }
   while (buffer_.over_capacity()) {
-    const auto victim = buffer_.extract_oldest_page_group(geo_.subpages_per_page);
-    if (victim.empty()) break;
-    done = std::max(done, flush_run(victim, now));
+    buffer_.extract_oldest_page_group(geo_.subpages_per_page, extracted_);
+    if (extracted_.empty()) break;
+    done = std::max(done, flush_run(extracted_, now));
   }
   return IoResult{done, true};
 }
@@ -390,9 +395,9 @@ IoResult SubFtl::flush(SimTime now) {
                                     buffer_.size(), now);
   SimTime done = now;
   while (!buffer_.empty()) {
-    const auto run = buffer_.extract_oldest_page_group(geo_.subpages_per_page);
-    if (run.empty()) break;
-    done = std::max(done, flush_run(run, now));
+    buffer_.extract_oldest_page_group(geo_.subpages_per_page, extracted_);
+    if (extracted_.empty()) break;
+    done = std::max(done, flush_run(extracted_, now));
   }
   return IoResult{done, true};
 }

@@ -1,6 +1,7 @@
 #include "nand/device.h"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "telemetry/metrics.h"
@@ -88,8 +89,7 @@ OpAck NandDevice::program_subpage(const SubpageAddr& addr, std::uint64_t token,
 }
 
 ReadStatus NandDevice::verdict(const Block& blk, std::uint32_t page,
-                               std::uint32_t slot, SimTime now) {
-  const SlotView view = blk.slot(page, slot);
+                               const SlotView& view, SimTime now) {
   switch (view.state) {
     case SlotState::kEmpty:
       return ReadStatus::kEmpty;
@@ -139,8 +139,9 @@ ReadStatus NandDevice::verdict(const Block& blk, std::uint32_t page,
 ReadAck NandDevice::read_subpage(const SubpageAddr& addr, SimTime now) {
   const Block& blk = block(addr.page.chip, addr.page.block);
   ReadAck ack;
-  ack.status = verdict(blk, addr.page.page, addr.slot, now);
-  ack.token = blk.slot(addr.page.page, addr.slot).token;
+  const SlotView view = blk.slot(addr.page.page, addr.slot);
+  ack.status = verdict(blk, addr.page.page, view, now);
+  ack.token = view.token;
   ++counters_.reads_sub;
   ack.done = schedule(addr.page.chip, timing_.read_sub_us,
                       geo_.subpage_bytes(), /*transfer_first=*/false, now);
@@ -154,8 +155,9 @@ PageReadAck NandDevice::read_page(const PageAddr& addr, SimTime now) {
   const Block& blk = block(addr.chip, addr.block);
   PageReadAck ack;
   for (std::uint32_t s = 0; s < geo_.subpages_per_page; ++s) {
-    ack.status[s] = verdict(blk, addr.page, s, now);
-    ack.token[s] = blk.slot(addr.page, s).token;
+    const SlotView view = blk.slot(addr.page, s);
+    ack.status[s] = verdict(blk, addr.page, view, now);
+    ack.token[s] = view.token;
   }
   ++counters_.reads_full;
   ack.done = schedule(addr.chip, timing_.read_full_us, geo_.page_bytes,
@@ -171,7 +173,8 @@ OpAck NandDevice::copyback(const PageAddr& src, const PageAddr& dst,
   if (src.chip != dst.chip)
     throw std::logic_error("NandDevice::copyback: pages must share a chip");
   const Block& src_blk = block(src.chip, src.block);
-  std::vector<std::uint64_t> tokens(geo_.subpages_per_page);
+  std::array<std::uint64_t, kMaxSubpagesPerPage> buf;
+  const std::span<std::uint64_t> tokens(buf.data(), geo_.subpages_per_page);
   for (std::uint32_t s = 0; s < geo_.subpages_per_page; ++s)
     tokens[s] = src_blk.slot(src.page, s).token;
   Block& dst_blk = block_ref(dst.chip, dst.block);

@@ -170,8 +170,9 @@ class NandDevice {
 
  private:
   Block& block_ref(std::uint32_t chip, std::uint32_t blk);
-  ReadStatus verdict(const Block& blk, std::uint32_t page, std::uint32_t slot,
-                     SimTime now);
+  /// Retention/ECC verdict for one slot the caller has already read.
+  ReadStatus verdict(const Block& blk, std::uint32_t page,
+                     const SlotView& view, SimTime now);
 
   /// Reserves channel + chip time for one operation; returns completion.
   SimTime schedule(std::uint32_t chip, SimTime array_us,
