@@ -19,20 +19,6 @@
 
 namespace esp::bench {
 
-/// "j.jsonl" + "fig8/varmail/sub" -> "j.fig8-varmail-sub.jsonl": splices
-/// the cell key (slashes flattened to '-') before the extension so every
-/// cell of a sweep journals to its own file.
-inline std::string cell_journal_path(const std::string& base,
-                                     std::string key) {
-  for (auto& c : key)
-    if (c == '/') c = '-';
-  const std::size_t slash = base.find_last_of('/');
-  const std::size_t dot = base.find_last_of('.');
-  if (dot == std::string::npos || (slash != std::string::npos && dot < slash))
-    return base + "." + key;
-  return base.substr(0, dot) + "." + key + base.substr(dot);
-}
-
 /// Paper platform, capacity-scaled: 8ch x 4chip x 16blk x 128pg x 16KB
 /// = 1 GiB raw.
 inline nand::Geometry scaled_geometry() {

@@ -32,10 +32,10 @@
 #include <iostream>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
+#include "core/build_info.h"
 #include "core/lifetime.h"
 #include "core/parallel_runner.h"
 #include "telemetry/json.h"
@@ -497,8 +497,7 @@ int main(int argc, char** argv) {
     w.kv("reference_windows", static_cast<std::uint64_t>(reference_windows));
     w.kv("validate_pe", validate_pe);
     w.kv("legs", static_cast<std::uint64_t>(legs));
-    w.kv("host_cores",
-         static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+    core::write_build_provenance(w);
     w.end_object();
     w.newline();
     w.key("curves");

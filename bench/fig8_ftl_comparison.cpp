@@ -27,7 +27,9 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "core/build_info.h"
 #include "core/parallel_runner.h"
+#include "core/shard.h"
 #include "telemetry/json.h"
 #include "util/table_printer.h"
 
@@ -138,11 +140,11 @@ int main(int argc, char** argv) {
     for (const auto kind : kinds) {
       auto cell = make_cell(bench, kind, geo);
       if (!journal_out.empty())
-        cell.spec.journal_path = bench::cell_journal_path(journal_out,
-                                                          cell.key);
+        cell.spec.journal_path = core::cell_sidecar_path(journal_out,
+                                                         cell.key);
       if (!forensics_out.empty())
-        cell.spec.forensics_path = bench::cell_journal_path(forensics_out,
-                                                            cell.key);
+        cell.spec.forensics_path = core::cell_sidecar_path(forensics_out,
+                                                           cell.key);
       cell.spec.forensics_top = forensics_top;
       cell.spec.audit = audit;
       // Grid cells are the parallelism unit; a sharded cell runs its
@@ -255,6 +257,7 @@ int main(int argc, char** argv) {
     w.kv("shards", static_cast<std::uint64_t>(shards));
     w.kv("base_seed", kBaseSeed);
     w.kv("wall_seconds", runner.manifest().wall_seconds);
+    core::write_build_provenance(w);
     w.end_object();
     w.newline();
     w.key("benchmarks");

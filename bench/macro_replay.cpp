@@ -25,12 +25,14 @@
 // wear-leveling checks actually fire inside a minutes-long replay window;
 // the *decisions* stay workload-driven, only the clock is compressed.
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -39,11 +41,10 @@
 
 #include "bench_common.h"
 #include "core/build_info.h"
+#include "core/observers.h"
 #include "core/parallel_runner.h"
 #include "core/shard.h"
 #include "sim/driver.h"
-#include "telemetry/forensics.h"
-#include "telemetry/health.h"
 #include "telemetry/json.h"
 #include "telemetry/telemetry.h"
 #include "util/table_printer.h"
@@ -55,15 +56,52 @@ using namespace esp;
 
 constexpr std::uint64_t kBaseSeed = 2017;
 
+/// Result of one paired observer duel (run_observer_duel).
+struct DuelResult {
+  double cpu_off = 0.0;  ///< thread-CPU seconds, observer-off side (A)
+  double cpu_on = 0.0;   ///< thread-CPU seconds, observer-on side (B)
+  std::uint64_t requests = 0;
+  std::array<std::uint64_t, 2> counters{};  ///< the gate's first two
+  bool same_decisions = true;
+
+  double overhead() const {
+    return cpu_off > 0.0 ? cpu_on / cpu_off - 1.0 : 0.0;
+  }
+};
+
+/// One observer-overhead gate (--health-gate, --forensics-gate): the
+/// observer gets a mode cell in the parallel grid plus, per (geometry,
+/// FTL), a paired duel against a baseline without it.
+struct Gate {
+  std::string name;  ///< flag, mode and JSON-key stem
+  std::string core::ExperimentSpec::*path;  ///< the observer's sidecar
+  /// The duel's side A. A bare Ssd prices the facade together with the
+  /// observer (health: the always-on stream). The lean facade prices only
+  /// the marginal cost of switching the observer on (forensics: the facade
+  /// itself is priced by the health gate).
+  bool facade_baseline = false;
+  /// RunResult counters a mode cell reports; the first two also land in
+  /// the duel table and the gate JSON.
+  std::vector<std::pair<std::string, std::uint64_t core::RunResult::*>>
+      counters;
+  std::string out;    ///< sidecar path stem (--<name>-out)
+  double pct = -1.0;  ///< bound in percent (--<name>-gate); < 0 = off
+
+  std::map<std::string, std::map<std::string, DuelResult>> duels{};
+  std::map<std::string, double> avg_overhead{};
+  bool pass = true;
+
+  bool on() const { return pct >= 0.0; }
+};
+
 struct Mode {
   std::string name;
   bool reference_scan = false;
-  bool health = false;
   /// > 1: run the cell as N shared-nothing shard simulations (core/shard.h)
   /// with index maintenance; the merged result is deterministic and the
   /// wall clock is the fork-to-join measure window.
   unsigned shards = 1;
-  bool forensics = false;
+  const Gate* gate = nullptr;  ///< index maintenance + this observer on
 };
 
 struct CellOut {
@@ -87,17 +125,16 @@ double ops_per_cpu_sec(const CellOut& c) {
              : ops_per_sec(c);
 }
 
-double maint_share(const ftl::FtlStats& s, double wall_seconds) {
-  const double ns = static_cast<double>(s.maint_retention_ns +
-                                        s.maint_wear_level_ns +
-                                        s.maint_release_idle_ns);
-  return wall_seconds > 0.0 ? ns / (wall_seconds * 1e9) : 0.0;
+/// Share of the cell's measured wall time spent in `ns` of host work.
+double wall_share(const CellOut& c, std::uint64_t ns) {
+  const double wall = c.r.measure_wall_seconds;
+  return wall > 0.0 ? static_cast<double>(ns) / (wall * 1e9) : 0.0;
 }
 
-double gc_share(const ftl::FtlStats& s, double wall_seconds) {
-  return wall_seconds > 0.0
-             ? static_cast<double>(s.maint_gc_ns) / (wall_seconds * 1e9)
-             : 0.0;
+double maint_share(const CellOut& c) {
+  const ftl::FtlStats& s = c.r.raw.ftl_stats;
+  return wall_share(c, s.maint_retention_ns + s.maint_wear_level_ns +
+                           s.maint_release_idle_ns);
 }
 
 /// The replayed stream: a mixed profile rather than one of the paper's five
@@ -127,15 +164,16 @@ core::ExperimentCell make_cell(const std::string& geom_name,
                                const nand::Geometry& geo, core::FtlKind kind,
                                const Mode& mode, double budget_scale,
                                double measure_scale,
-                               const std::string& health_out,
-                               double health_interval_s) {
+                               double health_interval_s,
+                               std::uint32_t forensics_top) {
   core::ExperimentCell cell;
   cell.key = "replay/" + geom_name + "/" + core::ftl_kind_name(kind) + "/" +
              mode.name;
-  if (mode.health) {
-    cell.spec.health_path = bench::cell_journal_path(health_out, cell.key);
-    cell.spec.health_interval_us = health_interval_s * sim_time::kSecond;
-  }
+  if (mode.gate)
+    cell.spec.*mode.gate->path =
+        core::cell_sidecar_path(mode.gate->out, cell.key);
+  cell.spec.health_interval_us = health_interval_s * sim_time::kSecond;
+  cell.spec.forensics_top = forensics_top;
   core::SsdConfig& ssd = cell.spec.ssd;
   ssd.geometry = geo;
   ssd.ftl = kind;
@@ -178,23 +216,28 @@ core::ExperimentCell make_cell(const std::string& geom_name,
   return cell;
 }
 
-/// Simulated-side outcomes must be BIT-identical between scan and index
-/// maintenance -- the tentpole's equivalence contract. Compares everything
-/// deterministic in the result (wall times and maint_* are host-side).
-bool same_decisions(const core::RunResult& a, const core::RunResult& b) {
-  const ftl::FtlStats& sa = a.raw.ftl_stats;
-  const ftl::FtlStats& sb = b.raw.ftl_stats;
-  return a.gc_invocations == b.gc_invocations && a.erases == b.erases &&
-         a.rmw_ops == b.rmw_ops && a.verify_failures == b.verify_failures &&
-         a.overall_waf == b.overall_waf &&
-         a.small_request_waf == b.small_request_waf &&
-         a.raw.requests == b.raw.requests && a.raw.end_us == b.raw.end_us &&
-         sa.host_write_sectors == sb.host_write_sectors &&
+/// The simulated FTL decisions two runs' stats record (maint_* are
+/// host-side timings and stay out).
+bool same_stats(const ftl::FtlStats& sa, const ftl::FtlStats& sb) {
+  return sa.host_write_sectors == sb.host_write_sectors &&
          sa.flash_prog_full == sb.flash_prog_full &&
          sa.flash_prog_sub == sb.flash_prog_sub &&
          sa.gc_copy_sectors == sb.gc_copy_sectors &&
+         sa.gc_invocations == sb.gc_invocations &&
+         sa.rmw_ops == sb.rmw_ops &&
          sa.retention_evictions == sb.retention_evictions &&
          sa.wear_level_relocations == sb.wear_level_relocations;
+}
+
+/// Simulated-side outcomes must be BIT-identical between scan and index
+/// maintenance -- the tentpole's equivalence contract. Compares everything
+/// deterministic in the result (wall times are host-side).
+bool same_decisions(const core::RunResult& a, const core::RunResult& b) {
+  return a.erases == b.erases && a.verify_failures == b.verify_failures &&
+         a.overall_waf == b.overall_waf &&
+         a.small_request_waf == b.small_request_waf &&
+         a.raw.requests == b.raw.requests && a.raw.end_us == b.raw.end_us &&
+         same_stats(a.raw.ftl_stats, b.raw.ftl_stats);
 }
 
 /// Shard-merge reconciliation: the merged top-level counters of a sharded
@@ -229,23 +272,11 @@ std::string slurp(const std::string& path) {
   return os.str();
 }
 
-/// Result of one paired observer duel (see run_health_duel and
-/// run_forensics_duel): cpu_index is always the stream-off side, cpu_stream
-/// the stream-on side; only the counters of the stream under test are set.
-struct DuelResult {
-  double cpu_index = 0.0;   ///< thread-CPU seconds, stream-off side
-  double cpu_health = 0.0;  ///< thread-CPU seconds, stream-on side
-  std::uint64_t requests = 0;
-  std::uint64_t health_epochs = 0;
-  std::uint64_t health_lines = 0;
-  std::uint64_t forensics_requests = 0;
-  std::uint64_t forensics_exemplars = 0;
-  bool same_decisions = true;
-};
-
-/// The health gate's measurement: two identical simulators -- health
-/// stream off (A) and on (B) -- stepped on ONE thread in alternating
-/// 1024-request chunks, accumulating each side's thread-CPU time.
+/// An overhead gate's measurement: two identical simulators -- `gate`'s
+/// observer off (A) and on (B) -- stepped on ONE thread in alternating
+/// 1024-request chunks, accumulating each side's thread-CPU time. Side B's
+/// observer is built by core::ObserverSet exactly as run_experiment builds
+/// it; side A is the gate's baseline.
 ///
 /// Why not compare two whole cells? Per-cell CPU time on a shared,
 /// frequency-scaled host wanders by far more than the 3% gate threshold
@@ -255,70 +286,42 @@ struct DuelResult {
 /// state at millisecond granularity; the chunk order also flips every
 /// iteration (A B | B A | ...) so linear drift cancels within each pair.
 /// The ratio of accumulated CPU times then isolates what the gate is
-/// actually after: the health stream's own per-op cost.
-DuelResult run_health_duel(const core::ExperimentSpec& index_spec,
-                           const core::ExperimentSpec& health_spec) {
-  // Sink lifetimes mirror run_experiment: stream, monitor and facade must
-  // outlive the Ssd (its destructor materializes the telemetry registry).
-  std::ofstream health_os(health_spec.health_path,
-                          std::ios::out | std::ios::trunc | std::ios::binary);
-  if (!health_os)
-    throw std::runtime_error("duel: cannot open health file: " +
-                             health_spec.health_path);
-  const auto& geo = health_spec.ssd.geometry;
-  telemetry::HealthHeader hdr;
-  hdr.ftl = core::ftl_kind_name(health_spec.ssd.ftl);
-  hdr.chips = geo.total_chips();
-  hdr.blocks_per_chip = geo.blocks_per_chip;
-  hdr.pages_per_block = geo.pages_per_block;
-  hdr.subpages_per_page = geo.subpages_per_page;
-  hdr.seed = health_spec.workload.seed;
-  hdr.interval_us = health_spec.health_interval_us;
-  hdr.rated_pe = health_spec.health_rated_pe;
-  telemetry::HealthMonitor health(health_os, hdr);
-  telemetry::TelemetryConfig cfg;
-  cfg.trace_capacity = 256;
-  cfg.op_detail = false;  // the lean always-on facade run_experiment owns
-  telemetry::Telemetry tel(cfg);
+/// actually after: the observer's own per-op cost.
+DuelResult run_observer_duel(const Gate& gate,
+                             const core::ExperimentSpec& spec) {
+  // Facades and observers outlive the Ssds (the Ssd destructor
+  // materializes the telemetry registry).
+  core::ObserverSet observers(spec);
+  std::optional<telemetry::Telemetry> tel_a;
+  if (gate.facade_baseline) tel_a.emplace(core::ObserverSet::lean_config());
 
-  core::Ssd a(index_spec.ssd);
-  core::Ssd b(health_spec.ssd);
-  a.precondition(index_spec.precondition_fraction);
-  b.precondition(health_spec.precondition_fraction);
-  tel.set_health(&health);
-  b.attach_telemetry(&tel);  // epoch 0: the post-precondition baseline
+  core::Ssd a(spec.ssd);
+  core::Ssd b(spec.ssd);
+  a.precondition(spec.precondition_fraction);
+  b.precondition(spec.precondition_fraction);
+  if (tel_a) a.attach_telemetry(&*tel_a);
+  b.attach_telemetry(observers.telemetry());  // health epoch 0: baseline
 
-  const auto stream_params = [](const core::ExperimentSpec& spec,
-                                const core::Ssd& ssd) {
-    // Footprint defaulting duplicated from run_experiment: the duel drives
-    // the drivers directly so chunk boundaries stay under its control.
-    workload::SyntheticParams p = spec.workload;
-    if (p.footprint_sectors == 0) {
-      const std::uint32_t subs = spec.ssd.geometry.subpages_per_page;
-      p.footprint_sectors =
-          static_cast<std::uint64_t>(
-              spec.precondition_fraction *
-              static_cast<double>(ssd.logical_sectors())) /
-          subs * subs;
-    }
-    return p;
-  };
-  workload::SyntheticWorkload sa(stream_params(index_spec, a));
-  workload::SyntheticWorkload sb(stream_params(health_spec, b));
+  workload::SyntheticParams params = spec.workload;
+  if (params.footprint_sectors == 0)
+    params.footprint_sectors =
+        core::default_footprint(spec, a.logical_sectors());
+  workload::SyntheticWorkload sa(params);
+  workload::SyntheticWorkload sb(params);
 
-  if (index_spec.warmup_requests > 0) {
-    a.driver().run(sa, /*verify=*/false, index_spec.warmup_requests);
-    b.driver().run(sb, /*verify=*/false, health_spec.warmup_requests);
+  if (spec.warmup_requests > 0) {
+    a.driver().run(sa, /*verify=*/false, spec.warmup_requests);
+    b.driver().run(sb, /*verify=*/false, spec.warmup_requests);
   }
-  // The end-of-warmup epoch lands outside the timed chunks.
+  // The end-of-warmup health epoch lands outside the timed chunks.
   b.driver().close_health_epoch();
 
   DuelResult out;
   std::uint64_t failures_a = 0, failures_b = 0;
   SimTime end_a = 0.0, end_b = 0.0;
   std::uint64_t remaining =
-      index_spec.workload.request_count > index_spec.warmup_requests
-          ? index_spec.workload.request_count - index_spec.warmup_requests
+      spec.workload.request_count > spec.warmup_requests
+          ? spec.workload.request_count - spec.warmup_requests
           : 0;
   bool flip = false;
   while (remaining > 0) {
@@ -334,161 +337,119 @@ DuelResult run_health_duel(const core::ExperimentSpec& index_spec,
       return m.requests;
     };
     if (flip) {
-      step(b, sb, out.cpu_health, failures_b, end_b);
-      out.requests += step(a, sa, out.cpu_index, failures_a, end_a);
+      step(b, sb, out.cpu_on, failures_b, end_b);
+      out.requests += step(a, sa, out.cpu_off, failures_a, end_a);
     } else {
-      out.requests += step(a, sa, out.cpu_index, failures_a, end_a);
-      step(b, sb, out.cpu_health, failures_b, end_b);
+      out.requests += step(a, sa, out.cpu_off, failures_a, end_a);
+      step(b, sb, out.cpu_on, failures_b, end_b);
     }
     flip = !flip;
     remaining -= n;
   }
 
-  // End-of-run snapshot is teardown I/O, outside the timed chunks -- the
-  // same contract run_experiment applies to its wall/CPU window.
+  // The end-of-run epoch and the trailers are teardown I/O, outside the
+  // timed chunks -- the same contract run_experiment applies to its
+  // wall/CPU window.
   b.driver().close_health_epoch();
-  health.finish();
-  out.health_epochs = health.epochs_written();
-  out.health_lines = health.lines_written();
+  core::RunResult stream;
+  observers.finish(stream);
+  for (std::size_t k = 0; k < 2; ++k)
+    out.counters[k] = stream.*gate.counters[k].second;
 
   // Both sides must have replayed to the same simulated end state: the
-  // health stream is a passive observer even when polled mid-stream.
-  const ftl::FtlStats stats_a = a.ftl().stats();
-  const ftl::FtlStats stats_b = b.ftl().stats();
+  // observer is passive even when polled mid-stream.
   out.same_decisions =
       end_a == end_b && failures_a == 0 && failures_b == 0 &&
-      stats_a.host_write_sectors == stats_b.host_write_sectors &&
-      stats_a.flash_prog_full == stats_b.flash_prog_full &&
-      stats_a.flash_prog_sub == stats_b.flash_prog_sub &&
-      stats_a.gc_copy_sectors == stats_b.gc_copy_sectors &&
-      stats_a.gc_invocations == stats_b.gc_invocations &&
-      stats_a.rmw_ops == stats_b.rmw_ops &&
-      stats_a.retention_evictions == stats_b.retention_evictions &&
-      stats_a.wear_level_relocations == stats_b.wear_level_relocations &&
+      same_stats(a.ftl().stats(), b.ftl().stats()) &&
       a.device().counters().erases == b.device().counters().erases;
-
-  tel.set_health(nullptr);
   return out;
 }
 
-/// The forensics gate's measurement: the same one-thread alternating-chunk
-/// duel as run_health_duel, but side B attaches the per-request latency
-/// forensics collector (phase attribution + top-K exemplars). Unlike the
-/// health duel, BOTH sides carry the lean always-on facade run_experiment
-/// would attach anyway: the gate bounds the *marginal* cost of switching
-/// --forensics-out on, which is the decision a user actually makes (the
-/// facade itself is priced by the health gate's bare baseline). Proves the
-/// collector is a passive observer whose per-request tax stays under the
-/// gate.
-DuelResult run_forensics_duel(const core::ExperimentSpec& index_spec,
-                              const core::ExperimentSpec& forensics_spec) {
-  std::ofstream forensics_os(
-      forensics_spec.forensics_path,
-      std::ios::out | std::ios::trunc | std::ios::binary);
-  if (!forensics_os)
-    throw std::runtime_error("duel: cannot open forensics file: " +
-                             forensics_spec.forensics_path);
-  const auto& geo = forensics_spec.ssd.geometry;
-  telemetry::ForensicsHeader hdr;
-  hdr.ftl = core::ftl_kind_name(forensics_spec.ssd.ftl);
-  hdr.chips = geo.total_chips();
-  hdr.blocks_per_chip = geo.blocks_per_chip;
-  hdr.pages_per_block = geo.pages_per_block;
-  hdr.subpages_per_page = geo.subpages_per_page;
-  hdr.page_bytes = geo.page_bytes;
-  hdr.seed = forensics_spec.workload.seed;
-  telemetry::ForensicsCollector::Config fcfg;
-  fcfg.top_k = forensics_spec.forensics_top;
-  fcfg.audit = forensics_spec.audit;
-  telemetry::ForensicsCollector forensics(forensics_os, hdr, fcfg);
-  telemetry::TelemetryConfig cfg;
-  cfg.trace_capacity = 256;
-  cfg.op_detail = false;  // the lean always-on facade run_experiment owns
-  telemetry::Telemetry tel_a(cfg);
-  telemetry::Telemetry tel(cfg);
+using Geometries = std::vector<std::pair<std::string, nand::Geometry>>;
 
-  core::Ssd a(index_spec.ssd);
-  core::Ssd b(forensics_spec.ssd);
-  a.precondition(index_spec.precondition_fraction);
-  b.precondition(forensics_spec.precondition_fraction);
-  a.attach_telemetry(&tel_a);
-  tel.set_forensics(&forensics);
-  b.attach_telemetry(&tel);
+constexpr core::FtlKind kKinds[] = {core::FtlKind::kCgm, core::FtlKind::kFgm,
+                                    core::FtlKind::kSub,
+                                    core::FtlKind::kSectorLog};
 
-  const auto stream_params = [](const core::ExperimentSpec& spec,
-                                const core::Ssd& ssd) {
-    workload::SyntheticParams p = spec.workload;
-    if (p.footprint_sectors == 0) {
-      const std::uint32_t subs = spec.ssd.geometry.subpages_per_page;
-      p.footprint_sectors =
-          static_cast<std::uint64_t>(
-              spec.precondition_fraction *
-              static_cast<double>(ssd.logical_sectors())) /
-          subs * subs;
+/// One overhead gate: a paired in-process duel per (geometry, FTL) (see
+/// run_observer_duel), compared in thread-CPU time so neither other
+/// tenants of the machine nor frequency scaling can move the ratio.
+/// Overheads are averaged over the four FTLs. The duel gets a 4x measure
+/// budget: a 3% ratio needs a few hundred milliseconds of CPU per side to
+/// be readable at all. Returns false on any decision divergence.
+bool run_gate(Gate& gate, const Geometries& geometries, double budget_scale,
+              double health_interval_s, std::uint32_t forensics_top) {
+  const Mode mode{gate.name, false, 1, &gate};
+  for (const auto& [geom, geo] : geometries) {
+    std::printf("\n%s geometry -- %s-stream overhead (gate %.1f%%)\n\n",
+                geom.c_str(), gate.name.c_str(), gate.pct);
+    std::vector<std::string> header = {"FTL", "index ops/cpu-s",
+                                       gate.name + " ops/cpu-s", "overhead"};
+    for (std::size_t k = 0; k < 2; ++k)
+      header.push_back(gate.counters[k].first.substr(gate.name.size() + 1));
+    util::TablePrinter t(header);
+    double sum = 0.0;
+    for (const auto kind : kKinds) {
+      auto cell = make_cell(geom, geo, kind, mode, budget_scale,
+                            /*measure_scale=*/4.0, health_interval_s,
+                            forensics_top);
+      // Distinct stream path: the parallel mode cell already owns this
+      // key's artifact.
+      cell.spec.*gate.path = core::cell_sidecar_path(gate.out,
+                                                     cell.key + "#duel");
+      const DuelResult d = run_observer_duel(gate, cell.spec);
+      const std::string ftl = core::ftl_kind_name(kind);
+      if (!d.same_decisions) {
+        std::fprintf(stderr,
+                     "FATAL: %s observation changed duel decisions for "
+                     "%s/%s\n",
+                     gate.name.c_str(), geom.c_str(), ftl.c_str());
+        return false;
+      }
+      const auto ops = [&d](double cpu) {
+        return cpu > 0.0 ? static_cast<double>(d.requests) / cpu : 0.0;
+      };
+      sum += d.overhead();
+      gate.duels[geom][ftl] = d;
+      t.add_row({ftl, util::TablePrinter::num(ops(d.cpu_off), 0),
+                 util::TablePrinter::num(ops(d.cpu_on), 0),
+                 util::TablePrinter::pct(d.overhead(), 2),
+                 std::to_string(d.counters[0]),
+                 std::to_string(d.counters[1])});
     }
-    return p;
-  };
-  workload::SyntheticWorkload sa(stream_params(index_spec, a));
-  workload::SyntheticWorkload sb(stream_params(forensics_spec, b));
-
-  if (index_spec.warmup_requests > 0) {
-    a.driver().run(sa, /*verify=*/false, index_spec.warmup_requests);
-    b.driver().run(sb, /*verify=*/false, forensics_spec.warmup_requests);
+    t.print(std::cout);
+    const double avg = sum / 4.0;
+    gate.avg_overhead[geom] = avg;
+    const bool ok = avg <= gate.pct / 100.0;
+    gate.pass &= ok;
+    std::printf("avg %s-stream overhead: %.2f%% -- %s\n", gate.name.c_str(),
+                avg * 100.0, ok ? "PASS" : "FAIL");
   }
+  return true;
+}
 
-  DuelResult out;
-  std::uint64_t failures_a = 0, failures_b = 0;
-  SimTime end_a = 0.0, end_b = 0.0;
-  std::uint64_t remaining =
-      index_spec.workload.request_count > index_spec.warmup_requests
-          ? index_spec.workload.request_count - index_spec.warmup_requests
-          : 0;
-  bool flip = false;
-  while (remaining > 0) {
-    const std::uint64_t n = std::min<std::uint64_t>(1024, remaining);
-    const auto step = [n](core::Ssd& ssd, workload::SyntheticWorkload& stream,
-                          double& cpu, std::uint64_t& failures,
-                          SimTime& end_us) {
-      const double t0 = core::thread_cpu_seconds();
-      const sim::RunMetrics m = ssd.driver().run(stream, /*verify=*/true, n);
-      cpu += core::thread_cpu_seconds() - t0;
-      failures += m.verify_failures;
-      end_us = m.end_us;
-      return m.requests;
-    };
-    if (flip) {
-      step(b, sb, out.cpu_health, failures_b, end_b);
-      out.requests += step(a, sa, out.cpu_index, failures_a, end_a);
-    } else {
-      out.requests += step(a, sa, out.cpu_index, failures_a, end_a);
-      step(b, sb, out.cpu_health, failures_b, end_b);
+/// The gate's raw duel measurements (non-deterministic, documentary).
+void write_gate_json(telemetry::JsonWriter& w, const Gate& gate) {
+  w.newline();
+  w.key(gate.name + "_gate");
+  w.begin_object();
+  for (const auto& [geom, per_ftl] : gate.duels) {
+    w.key(geom);
+    w.begin_object();
+    for (const auto& [ftl, d] : per_ftl) {
+      w.key(ftl);
+      w.begin_object();
+      w.kv("cpu_index_seconds", d.cpu_off);
+      w.kv("cpu_" + gate.name + "_seconds", d.cpu_on);
+      w.kv("requests", d.requests);
+      w.kv("overhead", d.overhead());
+      for (std::size_t k = 0; k < 2; ++k)
+        w.kv(gate.counters[k].first, d.counters[k]);
+      w.end_object();
     }
-    flip = !flip;
-    remaining -= n;
+    w.end_object();
   }
-
-  // The trailing exemplar/blame dump is teardown I/O, outside the timed
-  // chunks -- same contract as the health duel's end-of-run snapshot.
-  forensics.finish();
-  out.forensics_requests = forensics.requests();
-  out.forensics_exemplars = forensics.exemplars_retained();
-
-  const ftl::FtlStats stats_a = a.ftl().stats();
-  const ftl::FtlStats stats_b = b.ftl().stats();
-  out.same_decisions =
-      end_a == end_b && failures_a == 0 && failures_b == 0 &&
-      stats_a.host_write_sectors == stats_b.host_write_sectors &&
-      stats_a.flash_prog_full == stats_b.flash_prog_full &&
-      stats_a.flash_prog_sub == stats_b.flash_prog_sub &&
-      stats_a.gc_copy_sectors == stats_b.gc_copy_sectors &&
-      stats_a.gc_invocations == stats_b.gc_invocations &&
-      stats_a.rmw_ops == stats_b.rmw_ops &&
-      stats_a.retention_evictions == stats_b.retention_evictions &&
-      stats_a.wear_level_relocations == stats_b.wear_level_relocations &&
-      a.device().counters().erases == b.device().counters().erases;
-
-  tel.set_forensics(nullptr);
-  return out;
+  w.end_object();
 }
 
 }  // namespace
@@ -498,8 +459,21 @@ int main(int argc, char** argv) {
   std::string geometry_filter = "both";
   unsigned jobs = 0;
   bool quick = false;
-  double health_gate_pct = -1.0;  // <0 = no health cells
-  std::string health_out = "replay_health.jsonl";
+  std::vector<Gate> gates = {
+      {.name = "health",
+       .path = &core::ExperimentSpec::health_path,
+       .counters = {{"health_epochs", &core::RunResult::health_epochs},
+                    {"health_lines", &core::RunResult::health_lines}},
+       .out = "replay_health.jsonl"},
+      {.name = "forensics",
+       .path = &core::ExperimentSpec::forensics_path,
+       .facade_baseline = true,
+       .counters =
+           {{"forensics_requests", &core::RunResult::forensics_requests},
+            {"forensics_exemplars", &core::RunResult::forensics_exemplars},
+            {"forensics_truncated", &core::RunResult::forensics_truncated}},
+       .out = "replay_forensics.jsonl"},
+  };
   // Endpoint epochs by default: the gate bounds the ALWAYS-ON per-op tax
   // of the health stream. Snapshot cost is a separate, user-chosen knob --
   // O(blocks) per epoch at whatever cadence --health-interval picks -- and
@@ -507,14 +481,18 @@ int main(int argc, char** argv) {
   // make any fixed simulated-seconds cadence absurdly aggressive: 1 sim-s
   // is ~2500 requests here, vs minutes of real traffic on a device.
   double health_interval_s = 0.0;
-  double forensics_gate_pct = -1.0;  // <0 = no forensics cells
-  std::string forensics_out = "replay_forensics.jsonl";
   std::uint32_t forensics_top = 16;
   std::vector<unsigned> shard_counts;  // --shards 4,8: extra sharded modes
   unsigned shard_jobs = 0;             // 0 = hardware concurrency
   std::uint64_t snapshot_every = 0;    // --snapshot-every N: restart gate
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    // --<gate>-gate PCT / --<gate>-out PATH for each gate.
+    const auto gate_flag = [&](const char* suffix) -> Gate* {
+      for (Gate& gate : gates)
+        if (i + 1 < argc && arg == "--" + gate.name + suffix) return &gate;
+      return nullptr;
+    };
     if (arg == "--json" && i + 1 < argc) {
       json_out = argv[++i];
     } else if (arg == "--jobs" && i + 1 < argc) {
@@ -542,16 +520,12 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--quick") {
       quick = true;
-    } else if (arg == "--health-gate" && i + 1 < argc) {
-      health_gate_pct = std::atof(argv[++i]);
-    } else if (arg == "--health-out" && i + 1 < argc) {
-      health_out = argv[++i];
+    } else if (Gate* gate = gate_flag("-gate")) {
+      gate->pct = std::atof(argv[++i]);
+    } else if (Gate* gate = gate_flag("-out")) {
+      gate->out = argv[++i];
     } else if (arg == "--health-interval" && i + 1 < argc) {
       health_interval_s = std::atof(argv[++i]);
-    } else if (arg == "--forensics-gate" && i + 1 < argc) {
-      forensics_gate_pct = std::atof(argv[++i]);
-    } else if (arg == "--forensics-out" && i + 1 < argc) {
-      forensics_out = argv[++i];
     } else if (arg == "--forensics-top" && i + 1 < argc) {
       forensics_top =
           static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
@@ -564,6 +538,9 @@ int main(int argc, char** argv) {
                    "          [--shards N[,N...]] [--shard-jobs N]\n"
                    "          [--health-gate PCT] [--health-out PATH] "
                    "[--health-interval SIM_SECONDS]\n"
+                   "          [--forensics-gate PCT] [--forensics-out PATH] "
+                   "[--forensics-top N]\n"
+                   "          [--snapshot-every N]\n"
                    "--shards adds one sharded mode per listed count (index "
                    "maintenance,\nN shared-nothing shard simulations merged "
                    "deterministically; see\ndocs/PERFORMANCE.md) plus FATAL "
@@ -592,8 +569,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const bool with_health = health_gate_pct >= 0.0;
-  const bool with_forensics = forensics_gate_pct >= 0.0;
 
   // --quick (the CI perf-smoke scale): quarter the block count of both
   // profiles and an eighth of the request budget. Shares and speedups keep
@@ -613,26 +588,19 @@ int main(int argc, char** argv) {
     std::printf("%-6s %s\n", name.c_str(), geo.describe().c_str());
   std::printf("==============================================================\n");
 
-  const auto kinds = {core::FtlKind::kCgm, core::FtlKind::kFgm,
-                      core::FtlKind::kSub, core::FtlKind::kSectorLog};
-  std::vector<Mode> modes = {{"scan", true, false}, {"index", false, false}};
+  std::vector<Mode> modes = {{"scan", true}, {"index", false}};
   for (const unsigned n : shard_counts)
-    modes.push_back({"shard" + std::to_string(n), false, false, n});
-  if (with_health) modes.push_back({"health", false, true});
-  if (with_forensics) modes.push_back({"forensics", false, false, 1, true});
+    modes.push_back({"shard" + std::to_string(n), false, n});
+  for (const Gate& gate : gates)
+    if (gate.on()) modes.push_back({gate.name, false, 1, &gate});
   std::vector<core::ExperimentCell> cells;
   for (const auto& [name, geo] : geometries)
-    for (const auto kind : kinds)
+    for (const auto kind : kKinds)
       for (const auto& mode : modes) {
         cells.push_back(make_cell(name, geo, kind, mode, budget_scale,
-                                  /*measure_scale=*/1.0, health_out,
-                                  health_interval_s));
+                                  /*measure_scale=*/1.0, health_interval_s,
+                                  forensics_top));
         cells.back().spec.shard_jobs = shard_jobs;
-        if (mode.forensics) {
-          cells.back().spec.forensics_path =
-              bench::cell_journal_path(forensics_out, cells.back().key);
-          cells.back().spec.forensics_top = forensics_top;
-        }
       }
 
   core::ParallelRunnerConfig runner_cfg;
@@ -651,7 +619,7 @@ int main(int argc, char** argv) {
     std::size_t i = 0;
     for (const auto& [name, geo] : geometries) {
       (void)geo;
-      for (const auto kind : kinds)
+      for (const auto kind : kKinds)
         for (const auto& mode : modes) {
           const auto& cell = results[i++];
           if (!cell.ok) {
@@ -682,24 +650,15 @@ int main(int argc, char** argv) {
                      geom.c_str(), ftl.c_str());
         identical = false;
       }
-      // The health cell must make the same simulated decisions as the
-      // health-off index cell: the stream is a passive observer.
-      if (with_health && !same_decisions(per_mode.at("health").r, index)) {
-        std::fprintf(stderr,
-                     "FATAL: health observation changed decisions for %s/%s\n",
-                     geom.c_str(), ftl.c_str());
-        identical = false;
-      }
-      // Same contract for the forensics collector: per-request phase
-      // attribution must never perturb the simulation it observes.
-      if (with_forensics &&
-          !same_decisions(per_mode.at("forensics").r, index)) {
-        std::fprintf(
-            stderr,
-            "FATAL: forensics observation changed decisions for %s/%s\n",
-            geom.c_str(), ftl.c_str());
-        identical = false;
-      }
+      // An observer cell must make the same simulated decisions as the
+      // observer-off index cell: observers are passive.
+      for (const Gate& gate : gates)
+        if (gate.on() && !same_decisions(per_mode.at(gate.name).r, index)) {
+          std::fprintf(stderr,
+                       "FATAL: %s observation changed decisions for %s/%s\n",
+                       gate.name.c_str(), geom.c_str(), ftl.c_str());
+          identical = false;
+        }
       // Sharded cells are a different (reproducible) model point, so they
       // are not compared against the unsharded decisions; their gate is
       // the merge reconciliation: merged counters == sum of shards.
@@ -729,11 +688,10 @@ int main(int argc, char** argv) {
   // on its siblings or the thread schedule.
   for (const auto& [geom, geo] : geometries)
     for (const unsigned n : shard_counts) {
-      const Mode gate_mode{"shard" + std::to_string(n) + "-gate", false,
-                           false, n};
+      const Mode gate_mode{"shard" + std::to_string(n) + "-gate", false, n};
       auto gate = make_cell(geom, geo, core::FtlKind::kSub, gate_mode,
-                            budget_scale, /*measure_scale=*/0.25, health_out,
-                            health_interval_s);
+                            budget_scale, /*measure_scale=*/0.25,
+                            health_interval_s, forensics_top);
       gate.spec.shard_jobs = shard_jobs;
       gate.spec.journal_path =
           "replay_shard_gate_" + geom + "_s" + std::to_string(n) + ".jsonl";
@@ -787,10 +745,10 @@ int main(int argc, char** argv) {
   std::map<std::string, unsigned> restart_segments;
   if (snapshot_every > 0)
     for (const auto& [geom, geo] : geometries) {
-      const Mode gate_mode{"restart-gate", false, false, 1};
+      const Mode gate_mode{"restart-gate", false};
       const auto cell = make_cell(geom, geo, core::FtlKind::kSub, gate_mode,
                                   budget_scale, /*measure_scale=*/0.25,
-                                  health_out, health_interval_s);
+                                  health_interval_s, forensics_top);
 
       core::ExperimentSpec ref = cell.spec;
       ref.journal_path = "replay_restart_" + geom + "_ref.jsonl";
@@ -852,7 +810,7 @@ int main(int argc, char** argv) {
     util::TablePrinter t({"FTL", "scan ops/s", "index ops/s", "speedup",
                           "maint% scan", "maint% index", "gc% index"});
     double sum = 0.0;
-    for (const auto kind : kinds) {
+    for (const auto kind : kKinds) {
       const auto& per_mode = grid[geom][core::ftl_kind_name(kind)];
       const CellOut& scan = per_mode.at("scan");
       const CellOut& index = per_mode.at("index");
@@ -864,18 +822,10 @@ int main(int argc, char** argv) {
                  util::TablePrinter::num(scan_ops, 0),
                  util::TablePrinter::num(index_ops, 0),
                  util::TablePrinter::num(speedup, 2),
+                 util::TablePrinter::pct(maint_share(scan), 1),
+                 util::TablePrinter::pct(maint_share(index), 1),
                  util::TablePrinter::pct(
-                     maint_share(scan.r.raw.ftl_stats,
-                                 scan.r.measure_wall_seconds),
-                     1),
-                 util::TablePrinter::pct(
-                     maint_share(index.r.raw.ftl_stats,
-                                 index.r.measure_wall_seconds),
-                     1),
-                 util::TablePrinter::pct(
-                     gc_share(index.r.raw.ftl_stats,
-                              index.r.measure_wall_seconds),
-                     1)});
+                     wall_share(index, index.r.raw.ftl_stats.maint_gc_ns), 1)});
     }
     t.print(std::cout);
     avg_speedup[geom] = sum / 4.0;
@@ -899,7 +849,7 @@ int main(int argc, char** argv) {
       }
       util::TablePrinter t(header);
       std::map<unsigned, double> sums;
-      for (const auto kind : kinds) {
+      for (const auto kind : kKinds) {
         const auto& per_mode = grid[geom][core::ftl_kind_name(kind)];
         const double index_ops = ops_per_sec(per_mode.at("index"));
         std::vector<std::string> row = {
@@ -930,139 +880,11 @@ int main(int argc, char** argv) {
                   "the speedup comparison at 1 core)\n");
   }
 
-  // Health-observability gate: one paired in-process duel per (geometry,
-  // FTL) -- health-on vs health-off simulators stepped in alternating
-  // 1024-request chunks on this thread (see run_health_duel), compared in
-  // thread-CPU time so neither other tenants of the machine nor frequency
-  // scaling can move the ratio. Overheads are averaged over the four FTLs.
-  // The duel gets a 4x measure budget: a 3% ratio needs a few hundred
-  // milliseconds of CPU per side to be readable at all.
-  std::map<std::string, double> avg_health_overhead;
-  std::map<std::string, std::map<std::string, DuelResult>> duels;
-  bool health_pass = true;
-  if (with_health) {
-    const Mode index_mode{"index", false, false};
-    const Mode health_mode{"health", false, true};
-    for (const auto& [geom, geo] : geometries) {
-      std::printf("\n%s geometry -- health-stream overhead (gate %.1f%%)\n\n",
-                  geom.c_str(), health_gate_pct);
-      util::TablePrinter t({"FTL", "index ops/cpu-s", "health ops/cpu-s",
-                            "overhead", "epochs", "lines"});
-      double sum = 0.0;
-      for (const auto kind : kinds) {
-        const auto index_cell =
-            make_cell(geom, geo, kind, index_mode, budget_scale,
-                      /*measure_scale=*/4.0, health_out, health_interval_s);
-        auto health_cell =
-            make_cell(geom, geo, kind, health_mode, budget_scale,
-                      /*measure_scale=*/4.0, health_out, health_interval_s);
-        // Distinct stream path: the parallel health cell above already
-        // owns this key's artifact.
-        health_cell.spec.health_path =
-            bench::cell_journal_path(health_out, health_cell.key + "#duel");
-        const DuelResult d =
-            run_health_duel(index_cell.spec, health_cell.spec);
-        if (!d.same_decisions) {
-          std::fprintf(
-              stderr,
-              "FATAL: health observation changed duel decisions for %s/%s\n",
-              geom.c_str(), core::ftl_kind_name(kind).c_str());
-          return 1;
-        }
-        const double index_ops =
-            d.cpu_index > 0.0
-                ? static_cast<double>(d.requests) / d.cpu_index
-                : 0.0;
-        const double health_ops =
-            d.cpu_health > 0.0
-                ? static_cast<double>(d.requests) / d.cpu_health
-                : 0.0;
-        const double overhead =
-            d.cpu_index > 0.0 ? d.cpu_health / d.cpu_index - 1.0 : 0.0;
-        sum += overhead;
-        duels[geom][core::ftl_kind_name(kind)] = d;
-        t.add_row({core::ftl_kind_name(kind),
-                   util::TablePrinter::num(index_ops, 0),
-                   util::TablePrinter::num(health_ops, 0),
-                   util::TablePrinter::pct(overhead, 2),
-                   std::to_string(d.health_epochs),
-                   std::to_string(d.health_lines)});
-      }
-      t.print(std::cout);
-      const double avg = sum / 4.0;
-      avg_health_overhead[geom] = avg;
-      const bool ok = avg <= health_gate_pct / 100.0;
-      health_pass &= ok;
-      std::printf("avg health-stream overhead: %.2f%% -- %s\n", avg * 100.0,
-                  ok ? "PASS" : "FAIL");
-    }
-  }
-
-  // Forensics-overhead gate: the same paired-duel design, with the latency
-  // forensics collector (phase attribution, windowed blame, top-K exemplar
-  // heap) as the stream under test.
-  std::map<std::string, double> avg_forensics_overhead;
-  std::map<std::string, std::map<std::string, DuelResult>> forensics_duels;
-  bool forensics_pass = true;
-  if (with_forensics) {
-    const Mode index_mode{"index", false, false};
-    const Mode forensics_mode{"forensics", false, false, 1, true};
-    for (const auto& [geom, geo] : geometries) {
-      std::printf(
-          "\n%s geometry -- forensics-stream overhead (gate %.1f%%)\n\n",
-          geom.c_str(), forensics_gate_pct);
-      util::TablePrinter t({"FTL", "index ops/cpu-s", "forensics ops/cpu-s",
-                            "overhead", "requests", "exemplars"});
-      double sum = 0.0;
-      for (const auto kind : kinds) {
-        const auto index_cell =
-            make_cell(geom, geo, kind, index_mode, budget_scale,
-                      /*measure_scale=*/4.0, health_out, health_interval_s);
-        auto forensics_cell =
-            make_cell(geom, geo, kind, forensics_mode, budget_scale,
-                      /*measure_scale=*/4.0, health_out, health_interval_s);
-        // Distinct stream path: the parallel forensics cell above already
-        // owns this key's artifact.
-        forensics_cell.spec.forensics_path = bench::cell_journal_path(
-            forensics_out, forensics_cell.key + "#duel");
-        forensics_cell.spec.forensics_top = forensics_top;
-        const DuelResult d =
-            run_forensics_duel(index_cell.spec, forensics_cell.spec);
-        if (!d.same_decisions) {
-          std::fprintf(stderr,
-                       "FATAL: forensics observation changed duel decisions "
-                       "for %s/%s\n",
-                       geom.c_str(), core::ftl_kind_name(kind).c_str());
-          return 1;
-        }
-        const double index_ops =
-            d.cpu_index > 0.0
-                ? static_cast<double>(d.requests) / d.cpu_index
-                : 0.0;
-        const double forensics_ops =
-            d.cpu_health > 0.0
-                ? static_cast<double>(d.requests) / d.cpu_health
-                : 0.0;
-        const double overhead =
-            d.cpu_index > 0.0 ? d.cpu_health / d.cpu_index - 1.0 : 0.0;
-        sum += overhead;
-        forensics_duels[geom][core::ftl_kind_name(kind)] = d;
-        t.add_row({core::ftl_kind_name(kind),
-                   util::TablePrinter::num(index_ops, 0),
-                   util::TablePrinter::num(forensics_ops, 0),
-                   util::TablePrinter::pct(overhead, 2),
-                   std::to_string(d.forensics_requests),
-                   std::to_string(d.forensics_exemplars)});
-      }
-      t.print(std::cout);
-      const double avg = sum / 4.0;
-      avg_forensics_overhead[geom] = avg;
-      const bool ok = avg <= forensics_gate_pct / 100.0;
-      forensics_pass &= ok;
-      std::printf("avg forensics-stream overhead: %.2f%% -- %s\n",
-                  avg * 100.0, ok ? "PASS" : "FAIL");
-    }
-  }
+  for (Gate& gate : gates)
+    if (gate.on() &&
+        !run_gate(gate, geometries, budget_scale, health_interval_s,
+                  forensics_top))
+      return 1;
 
   if (!json_out.empty()) {
     std::ofstream os(json_out);
@@ -1080,11 +902,7 @@ int main(int argc, char** argv) {
     w.key("run");
     w.begin_object();
     w.kv("jobs", static_cast<std::uint64_t>(runner.manifest().jobs_used));
-    w.kv("host_cores",
-         static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
-    w.kv("build_type", core::build_type());
-    w.kv("build_march", core::build_march());
-    w.kv("build_compiler", core::build_compiler());
+    core::write_build_provenance(w);
     w.kv("shard_jobs", static_cast<std::uint64_t>(shard_jobs));
     w.kv("base_seed", kBaseSeed);
     w.kv("quick", quick);
@@ -1118,7 +936,7 @@ int main(int argc, char** argv) {
       w.newline();
       w.key(name);
       w.begin_object();
-      for (const auto kind : kinds) {
+      for (const auto kind : kKinds) {
         const auto& per_mode = grid[name][core::ftl_kind_name(kind)];
         w.newline();
         w.key(core::ftl_kind_name(kind));
@@ -1135,24 +953,11 @@ int main(int argc, char** argv) {
           w.kv("cell_wall_seconds", c.wall);
           w.kv("requests", c.r.raw.requests);
           w.kv("sim_host_mb_per_sec", c.r.host_mb_per_sec);
-          w.kv("maintenance_share",
-               maint_share(s, c.r.measure_wall_seconds));
-          w.kv("retention_share",
-               c.r.measure_wall_seconds > 0.0
-                   ? static_cast<double>(s.maint_retention_ns) /
-                         (c.r.measure_wall_seconds * 1e9)
-                   : 0.0);
-          w.kv("wear_level_share",
-               c.r.measure_wall_seconds > 0.0
-                   ? static_cast<double>(s.maint_wear_level_ns) /
-                         (c.r.measure_wall_seconds * 1e9)
-                   : 0.0);
-          w.kv("release_idle_share",
-               c.r.measure_wall_seconds > 0.0
-                   ? static_cast<double>(s.maint_release_idle_ns) /
-                         (c.r.measure_wall_seconds * 1e9)
-                   : 0.0);
-          w.kv("gc_share", gc_share(s, c.r.measure_wall_seconds));
+          w.kv("maintenance_share", maint_share(c));
+          w.kv("retention_share", wall_share(c, s.maint_retention_ns));
+          w.kv("wear_level_share", wall_share(c, s.maint_wear_level_ns));
+          w.kv("release_idle_share", wall_share(c, s.maint_release_idle_ns));
+          w.kv("gc_share", wall_share(c, s.maint_gc_ns));
           w.kv("maint_retention_calls", s.maint_retention_calls);
           w.kv("maint_wear_level_calls", s.maint_wear_level_calls);
           w.kv("maint_release_idle_calls", s.maint_release_idle_calls);
@@ -1165,15 +970,9 @@ int main(int argc, char** argv) {
           w.kv("channel_util", c.r.channel_util_mean);
           if (mode.shards > 1)
             w.kv("shards", static_cast<std::uint64_t>(mode.shards));
-          if (mode.health) {
-            w.kv("health_epochs", c.r.health_epochs);
-            w.kv("health_lines", c.r.health_lines);
-          }
-          if (mode.forensics) {
-            w.kv("forensics_requests", c.r.forensics_requests);
-            w.kv("forensics_exemplars", c.r.forensics_exemplars);
-            w.kv("forensics_truncated", c.r.forensics_truncated);
-          }
+          if (mode.gate)
+            for (const auto& [key, counter] : mode.gate->counters)
+              w.kv(key, c.r.*counter);
           w.end_object();
         }
         const double scan_ops = ops_per_sec(per_mode.at("scan"));
@@ -1190,54 +989,8 @@ int main(int argc, char** argv) {
       w.end_object();
     }
     w.end_object();
-    if (with_health) {
-      w.newline();
-      // The gate's raw duel measurements (non-deterministic, documentary).
-      w.key("health_gate");
-      w.begin_object();
-      for (const auto& [name, per_ftl] : duels) {
-        w.key(name);
-        w.begin_object();
-        for (const auto& [ftl, d] : per_ftl) {
-          w.key(ftl);
-          w.begin_object();
-          w.kv("cpu_index_seconds", d.cpu_index);
-          w.kv("cpu_health_seconds", d.cpu_health);
-          w.kv("requests", d.requests);
-          w.kv("overhead",
-               d.cpu_index > 0.0 ? d.cpu_health / d.cpu_index - 1.0 : 0.0);
-          w.kv("health_epochs", d.health_epochs);
-          w.kv("health_lines", d.health_lines);
-          w.end_object();
-        }
-        w.end_object();
-      }
-      w.end_object();
-    }
-    if (with_forensics) {
-      w.newline();
-      // The gate's raw duel measurements (non-deterministic, documentary).
-      w.key("forensics_gate");
-      w.begin_object();
-      for (const auto& [name, per_ftl] : forensics_duels) {
-        w.key(name);
-        w.begin_object();
-        for (const auto& [ftl, d] : per_ftl) {
-          w.key(ftl);
-          w.begin_object();
-          w.kv("cpu_index_seconds", d.cpu_index);
-          w.kv("cpu_forensics_seconds", d.cpu_health);
-          w.kv("requests", d.requests);
-          w.kv("overhead",
-               d.cpu_index > 0.0 ? d.cpu_health / d.cpu_index - 1.0 : 0.0);
-          w.kv("forensics_requests", d.forensics_requests);
-          w.kv("forensics_exemplars", d.forensics_exemplars);
-          w.end_object();
-        }
-        w.end_object();
-      }
-      w.end_object();
-    }
+    for (const Gate& gate : gates)
+      if (gate.on()) write_gate_json(w, gate);
     w.newline();
     w.key("summary");
     w.begin_object();
@@ -1248,37 +1001,23 @@ int main(int argc, char** argv) {
         w.kv("avg_speedup_shard" + std::to_string(n) + "_" + name,
              avg_shard_speedup[name][n]);
     }
-    if (with_health) {
-      for (const auto& [name, geo] : geometries) {
-        (void)geo;
-        w.kv("avg_health_overhead_" + name, avg_health_overhead[name]);
-      }
-      w.kv("health_gate_pct", health_gate_pct);
-      w.kv("health_gate_pass", health_pass);
-    }
-    if (with_forensics) {
-      for (const auto& [name, geo] : geometries) {
-        (void)geo;
-        w.kv("avg_forensics_overhead_" + name, avg_forensics_overhead[name]);
-      }
-      w.kv("forensics_gate_pct", forensics_gate_pct);
-      w.kv("forensics_gate_pass", forensics_pass);
+    for (const Gate& gate : gates) {
+      if (!gate.on()) continue;
+      for (const auto& [name, avg] : gate.avg_overhead)
+        w.kv("avg_" + gate.name + "_overhead_" + name, avg);
+      w.kv(gate.name + "_gate_pct", gate.pct);
+      w.kv(gate.name + "_gate_pass", gate.pass);
     }
     w.end_object();
     w.end_object();
     os << "\n";
     std::printf("wrote %s\n", json_out.c_str());
   }
-  if (with_health && !health_pass) {
-    std::fprintf(stderr, "FATAL: health-stream overhead above %.1f%% gate\n",
-                 health_gate_pct);
-    return 1;
-  }
-  if (with_forensics && !forensics_pass) {
-    std::fprintf(stderr,
-                 "FATAL: forensics-stream overhead above %.1f%% gate\n",
-                 forensics_gate_pct);
-    return 1;
-  }
+  for (const Gate& gate : gates)
+    if (gate.on() && !gate.pass) {
+      std::fprintf(stderr, "FATAL: %s-stream overhead above %.1f%% gate\n",
+                   gate.name.c_str(), gate.pct);
+      return 1;
+    }
   return 0;
 }

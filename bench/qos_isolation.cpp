@@ -46,6 +46,7 @@
 
 #include "bench_common.h"
 #include "core/parallel_runner.h"
+#include "core/shard.h"
 #include "sim/qos.h"
 #include "telemetry/json.h"
 #include "util/table_printer.h"
@@ -273,7 +274,7 @@ int main(int argc, char** argv) {
   if (!forensics_out.empty())
     for (auto& cell : cells) {
       cell.spec.forensics_path =
-          bench::cell_journal_path(forensics_out, cell.key);
+          core::cell_sidecar_path(forensics_out, cell.key);
       cell.spec.forensics_top = forensics_top;
     }
 

@@ -1,6 +1,10 @@
 #include "core/build_info.h"
 
+#include <cstdint>
+#include <thread>
+
 #include "core/version_info.h"
+#include "telemetry/json.h"
 
 namespace esp::core {
 
@@ -28,6 +32,14 @@ std::string build_info_line() {
   line += ") geometries=";
   line += build_geometry_profiles();
   return line;
+}
+
+void write_build_provenance(telemetry::JsonWriter& w) {
+  w.kv("build_type", build_type());
+  w.kv("build_march", build_march());
+  w.kv("build_compiler", build_compiler());
+  w.kv("host_cores",
+       static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
 }
 
 }  // namespace esp::core

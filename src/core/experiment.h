@@ -209,6 +209,13 @@ struct ExperimentSpec {
 /// Builds the SSD, preconditions it, runs the workload, returns metrics.
 RunResult run_experiment(const ExperimentSpec& spec);
 
+/// The workload footprint a spec leaves at 0 defaults to: the
+/// preconditioned share of `logical_sectors`, rounded down to whole pages.
+/// The paper's benchmarks run over the files laid down during
+/// preconditioning.
+std::uint64_t default_footprint(const ExperimentSpec& spec,
+                                std::uint64_t logical_sectors);
+
 /// CPU seconds consumed by the calling thread (0.0 where unsupported).
 /// The clock behind RunResult::measure_cpu_seconds, exported for benches
 /// that time sub-run work (e.g. the replay bench's paired health duel).

@@ -51,7 +51,7 @@ LifetimeResult run_lifetime(const LifetimeSpec& spec) {
       throw std::runtime_error("run_lifetime: cannot open snapshot: " +
                                spec.snapshot_in);
     const SnapshotMeta meta = read_snapshot_meta(is, spec.ssd);
-    read_snapshot_state(is, meta, ssd, SnapshotSinks{});
+    read_snapshot_state(is, meta, ssd, SnapshotParts{});
     windows_done = static_cast<std::uint32_t>(meta.measured_done);
   } else {
     ssd.precondition(spec.precondition_fraction);
@@ -254,7 +254,7 @@ LifetimeResult run_lifetime(const LifetimeSpec& spec) {
     meta.source_consumed = 0;
     meta.measured_done = windows_done;
     meta.saved_at_us = ssd.driver().now();
-    save_snapshot_file(spec.snapshot_out, meta, ssd, SnapshotSinks{});
+    save_snapshot_file(spec.snapshot_out, meta, ssd, SnapshotParts{});
   }
   return result;
 }

@@ -230,6 +230,7 @@ void ParallelRunner::write_manifest_json(const RunManifest& manifest,
   w.kv("version", build_version());
   w.kv("git", build_git_describe());
   w.kv("geometry_profiles", build_geometry_profiles());
+  write_build_provenance(w);
   w.newline();
   w.kv("jobs_requested", static_cast<std::uint64_t>(manifest.jobs_requested));
   w.kv("jobs_used", static_cast<std::uint64_t>(manifest.jobs_used));

@@ -1,38 +1,18 @@
 #include "core/shard.h"
 
 #include <algorithm>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "core/observers.h"
 #include "core/parallel_runner.h"
 #include "telemetry/telemetry.h"
 #include "workload/splitter.h"
 
 namespace esp::core {
-namespace {
-
-/// Appends every shard's sidecar stream to `dest` in shard-index order.
-/// The sidecars stay on disk: the invariance gates byte-compare them
-/// against standalone re-runs.
-void concat_sidecars(const std::string& dest,
-                     const std::vector<std::string>& sidecars) {
-  std::ofstream os(dest, std::ios::out | std::ios::trunc | std::ios::binary);
-  if (!os)
-    throw std::runtime_error("run_sharded_experiment: cannot open " + dest);
-  for (const std::string& path : sidecars) {
-    std::ifstream is(path, std::ios::in | std::ios::binary);
-    if (!is)
-      throw std::runtime_error("run_sharded_experiment: cannot read " + path);
-    os << is.rdbuf();
-  }
-}
-
-}  // namespace
-
 ShardPlan make_shard_plan(const ExperimentSpec& spec) {
   if (spec.shards < 2)
     throw std::invalid_argument("make_shard_plan: shards must be >= 2");
@@ -92,26 +72,33 @@ std::uint64_t shard_seed(const ExperimentSpec& spec, std::uint32_t index) {
                           spec.workload.seed);
 }
 
-std::string shard_sidecar_path(const std::string& path, std::uint32_t index) {
-  const std::string tag = ".shard" + std::to_string(index);
+namespace {
+
+/// Splices ".<tag>" in front of the file extension (or appends it).
+std::string splice_tag(const std::string& path, const std::string& tag) {
   const std::size_t slash = path.find_last_of('/');
   const std::size_t dot = path.find_last_of('.');
   if (dot == std::string::npos || (slash != std::string::npos && dot < slash))
-    return path + tag;
-  return path.substr(0, dot) + tag + path.substr(dot);
+    return path + "." + tag;
+  return path.substr(0, dot) + "." + tag + path.substr(dot);
+}
+
+}  // namespace
+
+std::string shard_sidecar_path(const std::string& path, std::uint32_t index) {
+  return splice_tag(path, "shard" + std::to_string(index));
+}
+
+std::string cell_sidecar_path(const std::string& path, std::string key) {
+  std::replace(key.begin(), key.end(), '/', '-');
+  return splice_tag(path, key);
 }
 
 workload::SyntheticParams sharded_workload_params(const ExperimentSpec& spec,
                                                   const ShardPlan& plan) {
   workload::SyntheticParams params = spec.workload;
-  const std::uint32_t subs = spec.ssd.geometry.subpages_per_page;
-  if (params.footprint_sectors == 0) {
-    params.footprint_sectors =
-        static_cast<std::uint64_t>(
-            spec.precondition_fraction *
-            static_cast<double>(plan.usable_sectors)) /
-        subs * subs;
-  }
+  if (params.footprint_sectors == 0)
+    params.footprint_sectors = default_footprint(spec, plan.usable_sectors);
   // Every global LBA must land inside its shard's addressed slice.
   params.footprint_sectors =
       std::min(params.footprint_sectors, plan.usable_sectors);
@@ -130,12 +117,9 @@ ExperimentSpec make_shard_spec(const ExperimentSpec& spec,
   leaf.workload.footprint_sectors = plan.shard_sectors;
   leaf.shard_index = index;
   leaf.shard_count = plan.shards;
-  if (!spec.journal_path.empty())
-    leaf.journal_path = shard_sidecar_path(spec.journal_path, index);
-  if (!spec.health_path.empty())
-    leaf.health_path = shard_sidecar_path(spec.health_path, index);
-  if (!spec.forensics_path.empty())
-    leaf.forensics_path = shard_sidecar_path(spec.forensics_path, index);
+  ObserverSet::rename_sidecars(leaf, [index](const std::string& path) {
+    return shard_sidecar_path(path, index);
+  });
   return leaf;
 }
 
@@ -192,24 +176,7 @@ RunResult run_sharded_experiment(const ExperimentSpec& spec) {
       shard_tels[i]->registry().materialize();
       spec.telemetry->registry().merge_from(shard_tels[i]->registry());
     }
-  if (!spec.journal_path.empty()) {
-    std::vector<std::string> sidecars;
-    for (const ExperimentSpec& leaf : leaves)
-      sidecars.push_back(leaf.journal_path);
-    concat_sidecars(spec.journal_path, sidecars);
-  }
-  if (!spec.health_path.empty()) {
-    std::vector<std::string> sidecars;
-    for (const ExperimentSpec& leaf : leaves)
-      sidecars.push_back(leaf.health_path);
-    concat_sidecars(spec.health_path, sidecars);
-  }
-  if (!spec.forensics_path.empty()) {
-    std::vector<std::string> sidecars;
-    for (const ExperimentSpec& leaf : leaves)
-      sidecars.push_back(leaf.forensics_path);
-    concat_sidecars(spec.forensics_path, sidecars);
-  }
+  ObserverSet::concat_shards(spec, leaves);
 
   RunResult merged;
   merged.ftl_name = shard_results.front().ftl_name;
@@ -270,12 +237,7 @@ RunResult run_sharded_experiment(const ExperimentSpec& spec) {
   // spans the slowest shard's measured window.
   m.start_us = min_start_us;
   m.end_us = min_start_us + max_elapsed_us;
-  m.latency_p50_us = m.latency_hist.percentile(0.50);
-  m.latency_p99_us = m.latency_hist.percentile(0.99);
-  m.latency_p999_us = m.latency_hist.percentile(0.999);
-  m.response_p50_us = m.response_hist.percentile(0.50);
-  m.response_p99_us = m.response_hist.percentile(0.99);
-  m.response_p999_us = m.response_hist.percentile(0.999);
+  m.update_percentiles();
 
   merged.iops = m.iops();
   const double secs = sim_time::to_seconds(max_elapsed_us);

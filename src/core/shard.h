@@ -67,6 +67,11 @@ std::uint64_t shard_seed(const ExperimentSpec& spec, std::uint32_t index);
 /// spliced in front of the extension ("j.jsonl" -> "j.shard0.jsonl").
 std::string shard_sidecar_path(const std::string& path, std::uint32_t index);
 
+/// Sidecar path of one sweep cell: the cell key, '/' flattened to '-', is
+/// spliced in front of the extension ("j.jsonl" + "fig8/varmail/sub" ->
+/// "j.fig8-varmail-sub.jsonl").
+std::string cell_sidecar_path(const std::string& path, std::string key);
+
 /// Generator parameters of the full (pre-split) stream: the cell's
 /// workload with its footprint defaulted/clamped to the plan's usable
 /// striped space.

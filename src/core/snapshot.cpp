@@ -5,11 +5,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "telemetry/auditor.h"
-#include "telemetry/forensics.h"
-#include "telemetry/health.h"
-#include "telemetry/journal.h"
-#include "telemetry/telemetry.h"
 #include "util/serialize.h"
 
 namespace esp::core {
@@ -26,20 +21,19 @@ std::uint64_t fnv1a(const std::string& bytes) {
   return h;
 }
 
+// Section tags, per SnapshotSection (the error messages name them).
+constexpr const char* kSectionTags[kSnapshotSections] = {"TELM", "JRNL",
+                                                         "AUDT", "HLTH",
+                                                         "FRNS"};
+
 void write_meta(util::StateWriter& w, const SnapshotMeta& m) {
   w.tag("META");
   w.u64(m.workload_seed);
   w.u64(m.source_consumed);
   w.u64(m.measured_done);
   w.f64(m.saved_at_us);
-  w.u64(m.journal_offset);
-  w.u64(m.health_offset);
-  w.u64(m.forensics_offset);
-  w.b(m.has_telemetry);
-  w.b(m.has_journal);
-  w.b(m.has_auditor);
-  w.b(m.has_health);
-  w.b(m.has_forensics);
+  for (const std::uint64_t offset : m.sidecar_offset) w.u64(offset);
+  for (const bool has : m.has) w.b(has);
 }
 
 SnapshotMeta read_meta(util::StateReader& r) {
@@ -49,39 +43,19 @@ SnapshotMeta read_meta(util::StateReader& r) {
   m.source_consumed = r.u64();
   m.measured_done = r.u64();
   m.saved_at_us = r.f64();
-  m.journal_offset = r.u64();
-  m.health_offset = r.u64();
-  m.forensics_offset = r.u64();
-  m.has_telemetry = r.b();
-  m.has_journal = r.b();
-  m.has_auditor = r.b();
-  m.has_health = r.b();
-  m.has_forensics = r.b();
+  for (std::uint64_t& offset : m.sidecar_offset) offset = r.u64();
+  for (bool& has : m.has) has = r.b();
   return m;
 }
 
-// Optional sections are buffered and written behind a byte-length prefix,
-// so a reader without the matching consumer can skip the section whole.
-template <typename SaveFn>
-void write_section(std::ostream& os, util::StateWriter& w, SaveFn&& save) {
-  std::ostringstream buf(std::ios::binary);
-  util::StateWriter sw(buf);
-  save(sw);
-  const std::string bytes = buf.str();
-  w.u64(bytes.size());
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (!os) throw std::runtime_error("write_snapshot: write failed");
-}
-
-// Reads one length-prefixed section: dispatches to `load` when a consumer
-// exists, skips the bytes otherwise. Verifies the consumer ate exactly the
-// recorded length -- a drifted layer fails here instead of corrupting the
-// next section.
-template <typename LoadFn>
+// Reads one length-prefixed section: dispatches to the part's loader when
+// it has one, skips the bytes otherwise. Verifies the loader ate exactly
+// the recorded length -- a drifted layer fails here instead of corrupting
+// the next section.
 void read_section(std::istream& is, util::StateReader& r, const char* name,
-                  bool has_consumer, LoadFn&& load) {
+                  const SnapshotPart& part) {
   const std::uint64_t len = r.u64();
-  if (!has_consumer) {
+  if (!part.load) {
     is.seekg(static_cast<std::streamoff>(len), std::ios::cur);
     if (!is)
       throw std::runtime_error(std::string("read_snapshot_state: cannot "
@@ -90,7 +64,7 @@ void read_section(std::istream& is, util::StateReader& r, const char* name,
     return;
   }
   const std::streampos before = is.tellg();
-  load(r);
+  part.load(r);
   const std::streampos after = is.tellg();
   if (after - before != static_cast<std::streamoff>(len))
     throw std::runtime_error(
@@ -144,38 +118,30 @@ std::uint64_t config_fingerprint(const SsdConfig& c) {
 }
 
 void write_snapshot(std::ostream& os, const SnapshotMeta& meta,
-                    const Ssd& ssd, const SnapshotSinks& sinks) {
+                    const Ssd& ssd, const SnapshotParts& parts) {
   util::StateWriter w(os);
   w.raw(kSnapshotMagic, sizeof kSnapshotMagic);
   w.u32(kSnapshotFormatVersion);
   w.u64(config_fingerprint(ssd.config()));
 
   SnapshotMeta m = meta;
-  m.has_telemetry = sinks.telemetry != nullptr;
-  m.has_journal = sinks.journal != nullptr;
-  m.has_auditor = sinks.auditor != nullptr;
-  m.has_health = sinks.health != nullptr;
-  m.has_forensics = sinks.forensics != nullptr;
+  for (std::size_t i = 0; i < kSnapshotSections; ++i)
+    m.has[i] = static_cast<bool>(parts[i].save);
   write_meta(w, m);
 
   ssd.save_state(w);
-
-  if (sinks.telemetry)
-    write_section(os, w,
-                  [&](util::StateWriter& sw) { sinks.telemetry->save_state(sw); });
-  if (sinks.journal)
-    write_section(os, w,
-                  [&](util::StateWriter& sw) { sinks.journal->save_state(sw); });
-  if (sinks.auditor)
-    write_section(os, w,
-                  [&](util::StateWriter& sw) { sinks.auditor->save_state(sw); });
-  if (sinks.health)
-    write_section(os, w,
-                  [&](util::StateWriter& sw) { sinks.health->save_state(sw); });
-  if (sinks.forensics)
-    write_section(os, w, [&](util::StateWriter& sw) {
-      sinks.forensics->save_state(sw);
-    });
+  // Optional sections are buffered and written behind a byte-length
+  // prefix, so a reader without the matching loader can skip them whole.
+  for (const SnapshotPart& part : parts) {
+    if (!part.save) continue;
+    std::ostringstream buf(std::ios::binary);
+    util::StateWriter sw(buf);
+    part.save(sw);
+    const std::string bytes = buf.str();
+    w.u64(bytes.size());
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    if (!os) throw std::runtime_error("write_snapshot: write failed");
+  }
   os.flush();
   if (!os) throw std::runtime_error("write_snapshot: flush failed");
 }
@@ -204,32 +170,19 @@ SnapshotMeta read_snapshot_meta(std::istream& is, const SsdConfig& config) {
 }
 
 void read_snapshot_state(std::istream& is, const SnapshotMeta& meta, Ssd& ssd,
-                         const SnapshotSinks& sinks) {
+                         const SnapshotParts& parts) {
   util::StateReader r(is);
   ssd.load_state(r);
-  if (meta.has_telemetry)
-    read_section(is, r, "TELM", sinks.telemetry != nullptr,
-                 [&](util::StateReader& sr) { sinks.telemetry->load_state(sr); });
-  if (meta.has_journal)
-    read_section(is, r, "JRNL", sinks.journal != nullptr,
-                 [&](util::StateReader& sr) { sinks.journal->load_state(sr); });
-  if (meta.has_auditor)
-    read_section(is, r, "AUDT", sinks.auditor != nullptr,
-                 [&](util::StateReader& sr) { sinks.auditor->load_state(sr); });
-  if (meta.has_health)
-    read_section(is, r, "HLTH", sinks.health != nullptr,
-                 [&](util::StateReader& sr) { sinks.health->load_state(sr); });
-  if (meta.has_forensics)
-    read_section(is, r, "FRNS", sinks.forensics != nullptr,
-                 [&](util::StateReader& sr) { sinks.forensics->load_state(sr); });
+  for (std::size_t i = 0; i < kSnapshotSections; ++i)
+    if (meta.has[i]) read_section(is, r, kSectionTags[i], parts[i]);
 }
 
 void save_snapshot_file(const std::string& path, const SnapshotMeta& meta,
-                        const Ssd& ssd, const SnapshotSinks& sinks) {
+                        const Ssd& ssd, const SnapshotParts& parts) {
   std::ofstream os(path, std::ios::out | std::ios::trunc | std::ios::binary);
   if (!os)
     throw std::runtime_error("save_snapshot_file: cannot open " + path);
-  write_snapshot(os, meta, ssd, sinks);
+  write_snapshot(os, meta, ssd, parts);
 }
 
 }  // namespace esp::core

@@ -29,18 +29,19 @@
 // uninterrupted run's.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 
 #include "core/ssd.h"
 
-namespace esp::telemetry {
-class Auditor;
-class ForensicsCollector;
-class HealthMonitor;
-class Journal;
-}  // namespace esp::telemetry
+namespace esp::util {
+class StateReader;
+class StateWriter;
+}  // namespace esp::util
 
 namespace esp::core {
 
@@ -57,6 +58,16 @@ inline constexpr std::uint32_t kSnapshotFormatVersion = 1;
 /// a snapshot only restores into the exact configuration that produced it.
 std::uint64_t config_fingerprint(const SsdConfig& config);
 
+/// The optional sections of the v1 format (TELM, JRNL, AUDT, HLTH, FRNS)
+/// in file order; META carries one presence flag per section, in order.
+enum SnapshotSection : std::size_t {
+  kSectionTelemetry, kSectionJournal, kSectionAuditor, kSectionHealth,
+  kSectionForensics, kSnapshotSections
+};
+
+/// Sidecar offset slots in META, in order: journal, health, forensics.
+inline constexpr std::size_t kSnapshotSidecars = 3;
+
 /// Everything the META section carries besides the config fingerprint.
 struct SnapshotMeta {
   /// Offset value meaning "this sidecar was not attached at save time".
@@ -71,36 +82,37 @@ struct SnapshotMeta {
   std::uint64_t measured_done = 0;
   double saved_at_us = 0.0;  ///< simulated clock at checkpoint
 
-  std::uint64_t journal_offset = kNoSidecar;    ///< sidecar bytes written
-  std::uint64_t health_offset = kNoSidecar;
-  std::uint64_t forensics_offset = kNoSidecar;
-
-  // Section presence flags (filled by write_snapshot from the sinks it is
-  // handed; read back by read_snapshot_meta).
-  bool has_telemetry = false;
-  bool has_journal = false;
-  bool has_auditor = false;
-  bool has_health = false;
-  bool has_forensics = false;
+  /// Sidecar bytes written at checkpoint time, per offset slot.
+  std::array<std::uint64_t, kSnapshotSidecars> sidecar_offset = {
+      kNoSidecar, kNoSidecar, kNoSidecar};
+  /// Section presence flags, per SnapshotSection (filled by write_snapshot
+  /// from the parts it is handed; read back by read_snapshot_meta).
+  std::array<bool, kSnapshotSections> has{};
 };
 
-/// The optional snapshot participants beyond the Ssd itself. Null members
-/// are simply not saved (their sections are omitted) / not restored (their
-/// sections are skipped via the length prefix).
-struct SnapshotSinks {
-  telemetry::Telemetry* telemetry = nullptr;
-  telemetry::Journal* journal = nullptr;
-  telemetry::Auditor* auditor = nullptr;
-  telemetry::HealthMonitor* health = nullptr;
-  telemetry::ForensicsCollector* forensics = nullptr;
+/// One optional snapshot participant. An empty part is not saved (its
+/// section is omitted) and not restored (its section is skipped via the
+/// length prefix).
+struct SnapshotPart {
+  std::function<void(util::StateWriter&)> save;
+  std::function<void(util::StateReader&)> load;
 };
+using SnapshotParts = std::array<SnapshotPart, kSnapshotSections>;
 
-/// Writes a complete snapshot of `ssd` (+ the non-null sinks) to `os`.
-/// `meta`'s has_* flags are overwritten from `sinks`; fill the cursors and
-/// sidecar offsets before calling. Must be called between host requests
+/// The part of any object with save_state/load_state; empty for null.
+template <typename T>
+SnapshotPart snapshot_part(T* obj) {
+  if (obj == nullptr) return {};
+  return {[obj](util::StateWriter& w) { obj->save_state(w); },
+          [obj](util::StateReader& r) { obj->load_state(r); }};
+}
+
+/// Writes a complete snapshot of `ssd` (+ the non-empty parts) to `os`.
+/// `meta`'s presence flags are overwritten from `parts`; fill the cursors
+/// and sidecar offsets before calling. Must be called between host requests
 /// with no open cause scope (the telemetry facade enforces this).
 void write_snapshot(std::ostream& os, const SnapshotMeta& meta,
-                    const Ssd& ssd, const SnapshotSinks& sinks);
+                    const Ssd& ssd, const SnapshotParts& parts);
 
 /// Validates magic/version/fingerprint against `config` and returns the
 /// META section, leaving `is` positioned at the SSD0 section for
@@ -109,19 +121,18 @@ void write_snapshot(std::ostream& os, const SnapshotMeta& meta,
 /// foreign file, version drift or a config fingerprint mismatch.
 SnapshotMeta read_snapshot_meta(std::istream& is, const SsdConfig& config);
 
-/// Restores `ssd` and the non-null sinks from the stream positioned by
-/// read_snapshot_meta. Restore order contract: the Ssd must already have
-/// its telemetry attached in resume mode (attach_telemetry(tel, true))
-/// and the sinks constructed in resume mode and set on the facade before
-/// this call. Sections present in the file but without a consumer here
-/// are skipped; a consumer whose section is absent is left freshly
-/// constructed.
+/// Restores `ssd` and the non-empty parts from the stream positioned by
+/// read_snapshot_meta. Restore order contract: the observers are
+/// constructed in resume mode and set on the facade before this call; the
+/// Ssd attaches the facade afterwards (attach_telemetry(tel, true)).
+/// Sections present in the file but without a loader here are skipped; a
+/// part whose section is absent is left freshly constructed.
 void read_snapshot_state(std::istream& is, const SnapshotMeta& meta, Ssd& ssd,
-                         const SnapshotSinks& sinks);
+                         const SnapshotParts& parts);
 
 /// Convenience wrappers over whole files. save_snapshot_file overwrites;
 /// both throw std::runtime_error on I/O failure.
 void save_snapshot_file(const std::string& path, const SnapshotMeta& meta,
-                        const Ssd& ssd, const SnapshotSinks& sinks);
+                        const Ssd& ssd, const SnapshotParts& parts);
 
 }  // namespace esp::core

@@ -38,8 +38,10 @@ class RetentionQueue {
   struct Entry {
     std::size_t block_idx = 0;
     std::uint32_t page = 0;
+    std::uint32_t pad = 0;  ///< explicit, so the raw archive is all zero
     SimTime written_at = 0.0;
   };
+  static_assert(sizeof(Entry) == 24, "snapshot v1 RETQ layout");
 
   /// bucket_width is the coarseness of the age buckets, in simulated time
   /// units; a fraction of the eviction age (e.g. age/32) keeps the
@@ -50,7 +52,7 @@ class RetentionQueue {
   void push(std::size_t block_idx, std::uint32_t page,
             SimTime written_at) {
     buckets_[bucket_of(written_at)].push_back(
-        Entry{block_idx, page, written_at});
+        Entry{.block_idx = block_idx, .page = page, .written_at = written_at});
     ++size_;
   }
 

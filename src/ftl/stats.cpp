@@ -143,7 +143,15 @@ void for_each_stat(Stats& s, Fn&& fn) {
 
 void save_stats(util::StateWriter& w, const FtlStats& s) {
   w.tag("STAT");
-  for_each_stat(s, [&](const std::uint64_t& f) { w.u64(f); });
+  // The maint_*_ns counters time this host, not the simulated device:
+  // they are archived as zero so the snapshot bytes are a function of
+  // simulated state alone.
+  FtlStats sim = s;
+  sim.maint_retention_ns = 0;
+  sim.maint_wear_level_ns = 0;
+  sim.maint_release_idle_ns = 0;
+  sim.maint_gc_ns = 0;
+  for_each_stat(sim, [&](const std::uint64_t& f) { w.u64(f); });
 }
 
 void load_stats(util::StateReader& r, FtlStats& s) {

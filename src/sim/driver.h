@@ -59,6 +59,16 @@ struct RunMetrics {
   std::uint64_t device_erases = 0;      ///< snapshot of device counter
   std::uint64_t erases_during_run = 0;  ///< erases attributable to this run
 
+  /// Recomputes the percentile fields from the two histograms.
+  void update_percentiles() {
+    latency_p50_us = latency_hist.percentile(0.50);
+    latency_p99_us = latency_hist.percentile(0.99);
+    latency_p999_us = latency_hist.percentile(0.999);
+    response_p50_us = response_hist.percentile(0.50);
+    response_p99_us = response_hist.percentile(0.99);
+    response_p999_us = response_hist.percentile(0.999);
+  }
+
   SimTime elapsed_us() const { return end_us - start_us; }
   double iops() const {
     const double secs = sim_time::to_seconds(elapsed_us());

@@ -57,6 +57,7 @@
 
 #include "telemetry/causes.h"
 #include "telemetry/sink.h"
+#include "telemetry/stream_header.h"
 #include "util/histogram.h"
 
 namespace esp::telemetry {
@@ -141,18 +142,7 @@ struct TenantBlame {
 };
 
 /// Run-identifying fields written into the forensics hdr line.
-struct ForensicsHeader {
-  std::string ftl;
-  std::uint32_t chips = 0;
-  std::uint32_t blocks_per_chip = 0;
-  std::uint32_t pages_per_block = 0;
-  std::uint32_t subpages_per_page = 0;
-  std::uint64_t page_bytes = 0;
-  std::uint64_t seed = 0;
-  /// Shard identity (core/shard.h); fields emitted only when shards > 1.
-  std::uint32_t shard = 0;
-  std::uint32_t shards = 1;
-};
+using ForensicsHeader = StreamHeader;
 
 class ForensicsCollector {
  public:
@@ -288,9 +278,12 @@ class ForensicsCollector {
   /// full window, so the common-case per-request cost is one comparison.
   struct WindowEntry {
     std::uint32_t id = 0;
+    std::uint32_t pad = 0;  ///< explicit, so the raw archive is all zero
     double response = 0.0;
     PhaseBreakdown phases;
   };
+  static_assert(sizeof(WindowEntry) == 16 + sizeof(PhaseBreakdown),
+                "snapshot v1 FRNS layout");
 
   struct TenantState {
     std::uint64_t requests = 0;

@@ -44,10 +44,6 @@ HealthMonitor::HealthMonitor(std::ostream& os, const HealthHeader& header,
   if (resume) return;  // appending after a restore; hdr already on disk
   char interval_s[32];
   fmt_time(interval_s, sizeof interval_s, header_.interval_us);
-  char shard_tag[64] = "";
-  if (header_.shards > 1)
-    std::snprintf(shard_tag, sizeof shard_tag, ",\"shard\":%u,\"shards\":%u",
-                  header_.shard, header_.shards);
   char buf[kLineCap];
   std::snprintf(buf, sizeof buf,
                 "{\"v\":%d,\"t\":\"hdr\",\"kind\":\"health\",\"ftl\":\"%s\","
@@ -58,7 +54,7 @@ HealthMonitor::HealthMonitor(std::ostream& os, const HealthHeader& header,
                 header_.blocks_per_chip, header_.pages_per_block,
                 header_.subpages_per_page,
                 static_cast<unsigned long long>(header_.seed), interval_s,
-                header_.rated_pe, shard_tag);
+                header_.rated_pe, shard_tag(header_).c_str());
   write_line(buf);
 }
 

@@ -39,6 +39,7 @@
 
 #include "telemetry/causes.h"
 #include "telemetry/sink.h"
+#include "telemetry/stream_header.h"
 #include "util/serialize.h"
 
 namespace esp::telemetry {
@@ -70,31 +71,23 @@ struct BlockHealth {
   std::uint32_t valid = 0;            ///< valid sectors/pages (pool units)
   std::uint32_t valid_cap = 0;        ///< capacity in the same units
   std::uint32_t gc_victims = 0;       ///< times erased under a GC cause
+  std::uint32_t pad0 = 0;             ///< explicit zero padding (archived raw)
   SimTime first_program_us = -1.0;    ///< first program since erase (<0: none)
   std::uint8_t pool = 0;              ///< HealthPool
   std::uint8_t level = 0;             ///< ESP level (subpage pool, else 0)
+  std::uint8_t pad1[6] = {};          ///< explicit zero padding (archived raw)
 
   bool operator==(const BlockHealth&) const = default;
 };
+static_assert(sizeof(BlockHealth) == 40, "snapshot v1 row layout");
 
 /// Run-identifying fields written into the health stream's hdr line.
-struct HealthHeader {
-  std::string ftl;
-  std::uint32_t chips = 0;
-  std::uint32_t blocks_per_chip = 0;
-  std::uint32_t pages_per_block = 0;
-  std::uint32_t subpages_per_page = 0;
-  std::uint64_t seed = 0;
+struct HealthHeader : StreamHeader {
   /// Epoch period in simulated microseconds; 0 = endpoint epochs only
   /// (attach + end of each run).
   SimTime interval_us = 0.0;
   /// Rated P/E endurance used for media-wear % and the exhaustion horizon.
   std::uint32_t rated_pe = 3000;
-  /// Shard identity of a sharded run's per-shard stream (core/shard.h):
-  /// emitted in the hdr line only when shards > 1, so unsharded health
-  /// streams keep their legacy bytes.
-  std::uint32_t shard = 0;
-  std::uint32_t shards = 1;
 };
 
 class HealthMonitor {

@@ -82,8 +82,9 @@ void Telemetry::record_op(const OpEvent& event) {
     const double dur = event.end - event.start;
     cumulative_[k]->add(dur);
     window_[k].add(dur);
-    trace_.push(TraceEvent{event.kind, current_request_, event.start, dur,
-                           event.arg0, event.arg1});
+    trace_.push(TraceEvent{.kind = event.kind, .request_id = current_request_,
+                           .start_us = event.start, .dur_us = dur,
+                           .arg0 = event.arg0, .arg1 = event.arg1});
   }
 
   // Causal attribution: every flash program/erase lands in exactly one

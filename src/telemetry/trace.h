@@ -25,12 +25,14 @@ namespace esp::telemetry {
 
 struct TraceEvent {
   OpKind kind = OpKind::kCount;
+  std::uint8_t pad[3] = {};  ///< explicit, so the raw archive is all zero
   std::uint32_t request_id = 0;  ///< owning host request (0 = none)
   SimTime start_us = 0.0;
   SimTime dur_us = 0.0;
   std::uint64_t arg0 = 0;
   std::uint64_t arg1 = 0;
 };
+static_assert(sizeof(TraceEvent) == 40, "snapshot v1 TRNG layout");
 
 /// Trace lane of an op kind: 0 = host, 1 = ftl, 2 = nand.
 constexpr std::uint32_t op_lane(OpKind kind) {

@@ -1,8 +1,12 @@
 // ExperimentRunner tests: window isolation (warmup excluded), derived
-// metrics, footprint defaulting.
+// metrics, footprint defaulting, loud sidecar failures.
 #include "core/experiment.h"
 
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <string>
+#include <tuple>
 
 #include "test_common.h"
 
@@ -73,6 +77,50 @@ TEST(Experiment, DifferentSeedsDiffer) {
   const auto b = run_experiment(spec);
   EXPECT_NE(a.iops, b.iops);
 }
+
+// A sidecar that cannot be opened fails the run loudly, naming the stream
+// and the path -- unsharded, and from a shard leaf's `.shard<i>` path.
+struct SidecarCase {
+  const char* stream;
+  std::string ExperimentSpec::*path;
+};
+
+class SidecarFailure
+    : public ::testing::TestWithParam<std::tuple<SidecarCase, unsigned>> {};
+
+TEST_P(SidecarFailure, UnwritablePathThrowsNamingStreamAndPath) {
+  const auto [sidecar, shards] = GetParam();
+  auto spec = base_spec();
+  spec.workload.request_count = 200;
+  spec.shards = shards;
+  // The file name does not repeat the stream name: the message must.
+  const std::string stem = ::testing::TempDir() + "no-such-dir/sidecar";
+  spec.*sidecar.path = stem + ".jsonl";
+  try {
+    run_experiment(spec);
+    FAIL() << "run_experiment accepted an unwritable " << sidecar.stream
+           << " sidecar";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(sidecar.stream), std::string::npos) << what;
+    EXPECT_NE(what.find(shards > 1 ? stem + ".shard" : stem + ".jsonl"),
+              std::string::npos)
+        << what;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Streams, SidecarFailure,
+    ::testing::Combine(
+        ::testing::Values(
+            SidecarCase{"journal", &ExperimentSpec::journal_path},
+            SidecarCase{"health", &ExperimentSpec::health_path},
+            SidecarCase{"forensics", &ExperimentSpec::forensics_path}),
+        ::testing::Values(1u, 2u)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param).stream) + "_shards" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace esp::core

@@ -37,7 +37,11 @@
 #include <string>
 #include <vector>
 
+#include "sidecar_fields.h"
+
 namespace {
+
+using namespace esp::tools;
 
 void usage(const char* argv0) {
   std::fprintf(
@@ -54,41 +58,6 @@ void usage(const char* argv0) {
       "                            (end trailer) and the smart CoV/Gini\n"
       "                            match recomputation from block rows\n",
       argv0);
-}
-
-// ---- flat field extraction (same idiom as espreport) -----------------
-
-bool find_raw(const std::string& line, const char* key, std::string* out) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  std::size_t start = pos + needle.size();
-  std::size_t end = start;
-  while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-  *out = line.substr(start, end - start);
-  return true;
-}
-
-bool find_str(const std::string& line, const char* key, std::string* out) {
-  std::string raw;
-  if (!find_raw(line, key, &raw)) return false;
-  if (raw.size() < 2 || raw.front() != '"' || raw.back() != '"') return false;
-  *out = raw.substr(1, raw.size() - 2);
-  return true;
-}
-
-bool find_u64(const std::string& line, const char* key, std::uint64_t* out) {
-  std::string raw;
-  if (!find_raw(line, key, &raw)) return false;
-  *out = std::strtoull(raw.c_str(), nullptr, 10);
-  return true;
-}
-
-bool find_double(const std::string& line, const char* key, double* out) {
-  std::string raw;
-  if (!find_raw(line, key, &raw)) return false;
-  *out = std::strtod(raw.c_str(), nullptr);
-  return true;
 }
 
 // ---- stream reconstruction ------------------------------------------

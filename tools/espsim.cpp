@@ -22,11 +22,14 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/build_info.h"
 #include "core/experiment.h"
+#include "core/observers.h"
 #include "core/parallel_runner.h"
+#include "core/shard.h"
 #include "core/ssd.h"
 #include "ftl/wear_metrics.h"
 #include "telemetry/export.h"
@@ -162,18 +165,6 @@ std::optional<workload::Benchmark> parse_profile(const std::string& name) {
   return std::nullopt;
 }
 
-/// "journal.jsonl" + "espsim/varmail/sub" -> "journal.espsim-varmail-sub.jsonl"
-/// (cell key spliced before the extension, '/' flattened to '-').
-std::string cell_journal_path(const std::string& base, std::string key) {
-  for (auto& c : key)
-    if (c == '/') c = '-';
-  const std::size_t slash = base.find_last_of('/');
-  const std::size_t dot = base.find_last_of('.');
-  if (dot == std::string::npos || (slash != std::string::npos && dot < slash))
-    return base + "." + key;
-  return base.substr(0, dot) + "." + key + base.substr(dot);
-}
-
 std::vector<std::string> split_list(const std::string& csv) {
   std::vector<std::string> items;
   std::size_t start = 0;
@@ -219,17 +210,6 @@ int main(int argc, char** argv) {
   std::string samples_out;
   double sample_interval_s = 0.0;
   std::size_t trace_capacity = 1 << 16;
-  std::string journal_out;
-  std::uint64_t journal_max_events = 0;
-  bool audit = false;
-  std::string health_out;
-  double health_interval_s = 0.0;
-  std::uint32_t health_rated_pe = 3000;
-  std::string forensics_out;
-  std::uint32_t forensics_top = 16;
-  std::string snapshot_in;
-  std::string snapshot_out;
-  std::uint64_t snapshot_after = 0;
   unsigned shards = 1;
   std::uint32_t shard_stripe_pages = 64;
   std::size_t tenants = 0;
@@ -337,29 +317,29 @@ int main(int argc, char** argv) {
     } else if (arg == "--trace-capacity") {
       trace_capacity = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--journal-out") {
-      journal_out = next();
+      spec.journal_path = next();
     } else if (arg == "--journal-max-events") {
-      journal_max_events = std::strtoull(next(), nullptr, 10);
+      spec.journal_max_events = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--audit") {
-      audit = true;
+      spec.audit = true;
     } else if (arg == "--health-out") {
-      health_out = next();
+      spec.health_path = next();
     } else if (arg == "--health-interval") {
-      health_interval_s = std::atof(next());
+      spec.health_interval_us = std::atof(next()) * sim_time::kSecond;
     } else if (arg == "--health-rated-pe") {
-      health_rated_pe =
+      spec.health_rated_pe =
           static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
     } else if (arg == "--forensics-out") {
-      forensics_out = next();
+      spec.forensics_path = next();
     } else if (arg == "--forensics-top") {
-      forensics_top =
+      spec.forensics_top =
           static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
     } else if (arg == "--snapshot-in") {
-      snapshot_in = next();
+      spec.snapshot_in = next();
     } else if (arg == "--snapshot-out") {
-      snapshot_out = next();
+      spec.snapshot_out = next();
     } else if (arg == "--snapshot-after") {
-      snapshot_after = std::strtoull(next(), nullptr, 10);
+      spec.snapshot_after_requests = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--shards") {
       shards = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
       if (shards == 0) {
@@ -513,7 +493,7 @@ int main(int argc, char** argv) {
       kinds.size() * std::max<std::size_t>(profiles.size(), 1);
   if (cell_count > 1) {
     // ---- sweep mode: cross product of profiles x FTLs on the runner ----
-    if (!snapshot_in.empty() || !snapshot_out.empty()) {
+    if (!spec.snapshot_in.empty() || !spec.snapshot_out.empty()) {
       std::fprintf(stderr,
                    "--snapshot-in/--snapshot-out only apply to single runs, "
                    "not sweeps\n");
@@ -547,18 +527,10 @@ int main(int argc, char** argv) {
         cell.spec = spec;
         cell.spec.ssd.ftl = kind;
         cell.spec.workload = workload_for(bench);
-        if (!journal_out.empty())
-          cell.spec.journal_path = cell_journal_path(journal_out, cell.key);
-        cell.spec.journal_max_events = journal_max_events;
-        cell.spec.audit = audit;
-        if (!health_out.empty())
-          cell.spec.health_path = cell_journal_path(health_out, cell.key);
-        cell.spec.health_interval_us = health_interval_s * sim_time::kSecond;
-        cell.spec.health_rated_pe = health_rated_pe;
-        if (!forensics_out.empty())
-          cell.spec.forensics_path =
-              cell_journal_path(forensics_out, cell.key);
-        cell.spec.forensics_top = forensics_top;
+        core::ObserverSet::rename_sidecars(
+            cell.spec, [&](const std::string& path) {
+              return core::cell_sidecar_path(path, cell.key);
+            });
         cells.push_back(std::move(cell));
       }
     }
@@ -625,17 +597,6 @@ int main(int argc, char** argv) {
                  "note: --manifest-out only applies to sweeps; ignored\n");
   spec.ssd.ftl = kinds.front();
   spec.shard_jobs = jobs;  // single run: shards are the parallelism unit
-  spec.journal_path = journal_out;
-  spec.journal_max_events = journal_max_events;
-  spec.audit = audit;
-  spec.health_path = health_out;
-  spec.health_interval_us = health_interval_s * sim_time::kSecond;
-  spec.health_rated_pe = health_rated_pe;
-  spec.forensics_path = forensics_out;
-  spec.forensics_top = forensics_top;
-  spec.snapshot_in = snapshot_in;
-  spec.snapshot_out = snapshot_out;
-  spec.snapshot_after_requests = snapshot_after;
   const std::optional<workload::Benchmark> profile =
       profiles.empty() ? std::nullopt
                        : std::optional<workload::Benchmark>(profiles.front());
@@ -682,28 +643,33 @@ int main(int argc, char** argv) {
     return 1;
   }
   const auto& stats = result.raw.ftl_stats;
+  // Per sidecar stream: its path and its counters as (label, value).
+  using Counters = std::vector<std::pair<const char*, std::uint64_t>>;
+  const std::tuple<const char*, const std::string&, Counters> streams[] = {
+      {"journal", spec.journal_path,
+       {{"events", result.journal_events},
+        {"truncated", result.journal_truncated}}},
+      {"health", spec.health_path,
+       {{"epochs", result.health_epochs}, {"lines", result.health_lines}}},
+      {"forensics", spec.forensics_path,
+       {{"requests", result.forensics_requests},
+        {"exemplars", result.forensics_exemplars},
+        {"truncated", result.forensics_truncated}}},
+  };
 
-  if (!snapshot_in.empty())
-    std::printf("snapshot : restored %s\n", snapshot_in.c_str());
-  if (!snapshot_out.empty())
+  if (!spec.snapshot_in.empty())
+    std::printf("snapshot : restored %s\n", spec.snapshot_in.c_str());
+  if (!spec.snapshot_out.empty())
     std::printf("snapshot : wrote %s (after %llu measured requests)\n",
-                snapshot_out.c_str(),
-                static_cast<unsigned long long>(snapshot_after));
-  if (!journal_out.empty())
-    std::printf("journal  : wrote %s (%llu events, %llu truncated)\n",
-                journal_out.c_str(),
-                static_cast<unsigned long long>(result.journal_events),
-                static_cast<unsigned long long>(result.journal_truncated));
-  if (!health_out.empty())
-    std::printf("health   : wrote %s (%llu epochs, %llu lines)\n",
-                health_out.c_str(),
-                static_cast<unsigned long long>(result.health_epochs),
-                static_cast<unsigned long long>(result.health_lines));
-  if (!forensics_out.empty())
-    std::printf("forensics: wrote %s (%llu requests, %llu exemplars)\n",
-                forensics_out.c_str(),
-                static_cast<unsigned long long>(result.forensics_requests),
-                static_cast<unsigned long long>(result.forensics_exemplars));
+                spec.snapshot_out.c_str(),
+                static_cast<unsigned long long>(spec.snapshot_after_requests));
+  for (const auto& [name, path, counters] : streams)
+    if (!path.empty())
+      std::printf("%-9s: wrote %s (%llu %s, %llu %s)\n", name, path.c_str(),
+                  static_cast<unsigned long long>(counters[0].second),
+                  counters[0].first,
+                  static_cast<unsigned long long>(counters[1].second),
+                  counters[1].first);
 
   if (tel) {
     auto emit = [](const char* what, const std::string& path, bool ok) {
@@ -771,25 +737,12 @@ int main(int argc, char** argv) {
                  static_cast<double>(result.mapping_bytes) / 1024.0, 1) +
                  " KiB"});
   t.add_row({"verify failures", std::to_string(result.verify_failures)});
-  if (tel || !journal_out.empty() || audit)
+  if (tel || !spec.journal_path.empty() || spec.audit)
     t.add_row({"trace events dropped", std::to_string(result.trace_dropped)});
-  if (!journal_out.empty()) {
-    t.add_row({"journal events", std::to_string(result.journal_events)});
-    t.add_row({"journal truncated",
-               std::to_string(result.journal_truncated)});
-  }
-  if (!health_out.empty()) {
-    t.add_row({"health epochs", std::to_string(result.health_epochs)});
-    t.add_row({"health lines", std::to_string(result.health_lines)});
-  }
-  if (!forensics_out.empty()) {
-    t.add_row({"forensics requests",
-               std::to_string(result.forensics_requests)});
-    t.add_row({"forensics exemplars",
-               std::to_string(result.forensics_exemplars)});
-    t.add_row({"forensics truncated",
-               std::to_string(result.forensics_truncated)});
-  }
+  for (const auto& [name, path, counters] : streams)
+    if (!path.empty())
+      for (const auto& [label, value] : counters)
+        t.add_row({std::string(name) + " " + label, std::to_string(value)});
   t.print(std::cout);
 
   if (!result.tenants.empty()) {
@@ -825,7 +778,7 @@ int main(int argc, char** argv) {
   // each tenant spent their time in (multi-tenant forensics runs only).
   if (!result.tenant_blame.empty() && result.tenant_blame.size() > 1) {
     std::printf("\nper-tenant tail blame (slowest %u retained):\n",
-                forensics_top);
+                spec.forensics_top);
     std::vector<std::string> cols = {"tenant", "reqs", "tail", "worst us"};
     for (std::size_t p = 0; p < telemetry::kPhaseCount; ++p)
       cols.push_back(phase_name(static_cast<telemetry::Phase>(p)));
