@@ -3,12 +3,14 @@
 // accidental complexity regressions in the FTL data structures.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <memory>
 #include <vector>
 
 #include "core/ssd.h"
 #include "ftl/block_allocator.h"
 #include "ftl/fullpage_pool.h"
+#include "ftl/sub_ftl.h"
 #include "ftl/subpage_pool.h"
 #include "ftl/write_buffer.h"
 #include "nand/cell_model.h"
@@ -272,6 +274,56 @@ void BM_FullPoolGcChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FullPoolGcChurn);
+
+// Retention eviction per evicted sector (SubFtl::tick -> SubpagePool::
+// retention_scan -> SubFtl::evict_batch), the work behind the retention
+// share of mixed-prod's host time. A prod-like subFTL -- prod geometry at
+// half the blocks per chip, 40 % of flash logical, every logical page
+// preconditioned into the full-page region -- takes a wave of random
+// single-sector sync writes into its subpage region (untimed); one tick()
+// past the eviction age then evicts the whole wave, each sector a
+// read-modify-write of a cold, mapped full page scattered over mapping
+// tables and device state far larger than the CPU caches. Reports wall ns
+// per evicted sector of the timed ticks.
+void BM_RetentionEvict(benchmark::State& state) {
+  nand::Geometry geo = nand::prod_geometry();
+  geo.blocks_per_chip /= 2;
+  nand::NandDevice dev(geo);
+  ftl::SubFtl::Config cfg;
+  const std::uint32_t subs = geo.subpages_per_page;
+  cfg.logical_sectors = geo.total_subpages() * 2 / 5 / subs * subs;
+  ftl::SubFtl ftl(dev, cfg);
+  SimTime now = 0.0;
+  for (std::uint64_t s = 0; s < cfg.logical_sectors; s += subs)
+    now = ftl.write(s, subs, /*sync=*/true, now).done;
+  util::Xoshiro256 rng(7);
+  constexpr std::uint32_t kWave = 16384;
+  const SimTime past_age =
+      cfg.retention_evict_age + cfg.retention_scan_interval;
+  double timed_ns = 0.0;
+  std::uint64_t evicted = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (std::uint32_t i = 0; i < kWave; ++i)
+      now = ftl.write(rng.below(cfg.logical_sectors), 1, true, now).done;
+    const std::uint64_t before = ftl.stats().retention_evictions;
+    state.ResumeTiming();
+    const auto t0 = std::chrono::steady_clock::now();
+    now = ftl.tick(now + past_age);
+    benchmark::DoNotOptimize(now);
+    timed_ns += std::chrono::duration<double, std::nano>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+    state.PauseTiming();
+    evicted += ftl.stats().retention_evictions - before;
+    state.ResumeTiming();
+  }
+  state.counters["evicted_per_tick"] =
+      static_cast<double>(evicted) / static_cast<double>(state.iterations());
+  state.counters["ns_per_evicted_sector"] =
+      evicted ? timed_ns / static_cast<double>(evicted) : 0.0;
+}
+BENCHMARK(BM_RetentionEvict)->Iterations(12)->Unit(benchmark::kMillisecond);
 
 void BM_CellModelProgram(benchmark::State& state) {
   nand::WordLine wl(4, 8192, nand::CellModelParams{}, util::Xoshiro256(5));

@@ -22,22 +22,17 @@ FinePool::FinePool(nand::NandDevice& dev, BlockAllocator& allocator,
 }
 
 void FinePool::retire_meta_arrays(BlockMeta& m) {
-  auto& spare = spare_meta_.emplace_back();
-  spare.sector_of_slot = std::move(m.sector_of_slot);
-  spare.valid = std::move(m.valid);
+  spare_meta_.push_back(std::move(m.sector_of_slot));
 }
 
 void FinePool::init_meta_arrays(BlockMeta& m) {
   if (!spare_meta_.empty()) {
-    auto& spare = spare_meta_.back();
-    m.sector_of_slot = std::move(spare.sector_of_slot);
-    m.valid = std::move(spare.valid);
+    m.sector_of_slot = std::move(spare_meta_.back());
     spare_meta_.pop_back();
   }
   const std::size_t slots =
       static_cast<std::size_t>(geo_.pages_per_block) * geo_.subpages_per_page;
   m.sector_of_slot.assign(slots, nand::kUnmapped);
-  m.valid.assign(slots, false);
 }
 
 bool FinePool::space_pressure() const {
@@ -107,7 +102,6 @@ SimTime FinePool::write_group(std::span<const SectorWrite> group, SimTime now) {
     const auto slot_idx =
         static_cast<std::size_t>(page) * geo_.subpages_per_page + i;
     m.sector_of_slot[slot_idx] = group[i].sector;
-    m.valid[slot_idx] = true;
     ++m.valid_count;
     ++valid_sectors_;
     const std::uint64_t sub_lin = codec_.encode_subpage(
@@ -123,9 +117,8 @@ void FinePool::invalidate(std::uint64_t sub_lin) {
   const auto slot_idx =
       static_cast<std::size_t>(addr.page.page) * geo_.subpages_per_page +
       addr.slot;
-  if (!m.owned || !m.valid[slot_idx])
+  if (!m.owned || !m.slot_valid(slot_idx))
     throw std::logic_error("FinePool::invalidate: sector not valid");
-  m.valid[slot_idx] = false;
   m.sector_of_slot[slot_idx] = nand::kUnmapped;
   --m.valid_count;
   --valid_sectors_;
@@ -197,20 +190,19 @@ SimTime FinePool::collect_block(std::size_t idx, SimTime now,
   for (std::uint32_t page = 0; page < geo_.pages_per_block; ++page) {
     bool any = false;
     for (std::uint32_t s = 0; s < subs; ++s)
-      any |= victim.valid[static_cast<std::size_t>(page) * subs + s];
+      any |= victim.slot_valid(static_cast<std::size_t>(page) * subs + s);
     if (!any) continue;
     const auto read = dev_.read_page(nand::PageAddr{chip, blk, page}, now);
     ++stats_.flash_reads;
     t = std::max(t, read.done);
     for (std::uint32_t s = 0; s < subs; ++s) {
       const auto slot_idx = static_cast<std::size_t>(page) * subs + s;
-      if (!victim.valid[slot_idx]) continue;
+      if (!victim.slot_valid(slot_idx)) continue;
       if (read.status[s] == nand::ReadStatus::kCorrupted ||
           read.status[s] == nand::ReadStatus::kUncorrectable)
         ++stats_.read_failures;
       live.push_back(SectorWrite{victim.sector_of_slot[slot_idx],
                                  read.token[s]});
-      victim.valid[slot_idx] = false;
       victim.sector_of_slot[slot_idx] = nand::kUnmapped;
       --victim.valid_count;
       --valid_sectors_;
@@ -320,7 +312,7 @@ void FinePool::save_state(util::StateWriter& w) const {
     w.u32(m.next_page);
     w.u32(m.valid_count);
     w.pod_vec(m.sector_of_slot);
-    w.bool_vec(m.valid);
+    save_validity_bits(w, m.sector_of_slot);
   }
   w.u64(active_block_.size());
   for (const auto& ab : active_block_) {
@@ -344,7 +336,7 @@ void FinePool::load_state(util::StateReader& r) {
     m.next_page = r.u32();
     m.valid_count = r.u32();
     r.pod_vec(m.sector_of_slot);
-    r.bool_vec(m.valid);
+    load_validity_bits(r, m.sector_of_slot, "FinePool");
   }
   if (r.u64() != active_block_.size())
     throw std::runtime_error("FinePool::load_state: chip count mismatch");

@@ -88,8 +88,12 @@ class FinePool {
     bool active = false;
     std::uint32_t next_page = 0;
     std::uint32_t valid_count = 0;                ///< live sectors
-    std::vector<std::uint64_t> sector_of_slot;    ///< reverse map per slot
-    std::vector<bool> valid;                      ///< per slot
+    /// Reverse map per slot; a slot is live exactly when its entry is not
+    /// kUnmapped (every write sets it, every invalidation clears it).
+    std::vector<std::uint64_t> sector_of_slot;
+    bool slot_valid(std::size_t slot_idx) const {
+      return sector_of_slot[slot_idx] != nand::kUnmapped;
+    }
   };
 
   std::size_t block_index(std::uint32_t chip, std::uint32_t block) const {
@@ -128,12 +132,8 @@ class FinePool {
       victim_heap_;
   /// Wear-leveling candidates, pushed at seal time (see wear_index.h).
   WearIndex wear_index_;
-  /// Recycled per-slot arrays of released blocks.
-  struct SpareArrays {
-    std::vector<std::uint64_t> sector_of_slot;
-    std::vector<bool> valid;
-  };
-  std::vector<SpareArrays> spare_meta_;
+  /// Recycled reverse-map arrays of released blocks.
+  std::vector<std::vector<std::uint64_t>> spare_meta_;
   /// Pooled scratch. collect_block never nests within itself, and a nested
   /// write_group (GC repack) finishes with write_tokens_ before the outer
   /// write_group starts filling it.

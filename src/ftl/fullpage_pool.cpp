@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "util/logger.h"
+#include "util/prefetch.h"
 
 namespace esp::ftl {
 
@@ -36,20 +37,15 @@ void FullPagePool::index_remove(std::uint32_t chip, std::uint32_t block) {
 }
 
 void FullPagePool::retire_meta_arrays(BlockMeta& m) {
-  auto& spare = spare_meta_.emplace_back();
-  spare.lpn_of_page = std::move(m.lpn_of_page);
-  spare.valid = std::move(m.valid);
+  spare_meta_.push_back(std::move(m.lpn_of_page));
 }
 
 void FullPagePool::init_meta_arrays(BlockMeta& m) {
   if (!spare_meta_.empty()) {
-    auto& spare = spare_meta_.back();
-    m.lpn_of_page = std::move(spare.lpn_of_page);
-    m.valid = std::move(spare.valid);
+    m.lpn_of_page = std::move(spare_meta_.back());
     spare_meta_.pop_back();
   }
   m.lpn_of_page.assign(geo_.pages_per_block, nand::kUnmapped);
-  m.valid.assign(geo_.pages_per_block, false);
 }
 
 bool FullPagePool::space_pressure() const {
@@ -116,7 +112,6 @@ std::pair<std::uint64_t, SimTime> FullPagePool::write_page(
   ++stats_.flash_prog_full;
 
   m.lpn_of_page[page] = lpn;
-  m.valid[page] = true;
   ++m.valid_count;
   ++valid_pages_;
   return {codec_.encode_page(addr), ack.done};
@@ -125,14 +120,26 @@ std::pair<std::uint64_t, SimTime> FullPagePool::write_page(
 void FullPagePool::invalidate(std::uint64_t page_lin) {
   const nand::PageAddr addr = codec_.decode_page(page_lin);
   BlockMeta& m = meta_[block_index(addr.chip, addr.block)];
-  if (!m.owned || !m.valid[addr.page])
+  if (!m.owned || !m.page_valid(addr.page))
     throw std::logic_error("FullPagePool::invalidate: page not valid");
-  m.valid[addr.page] = false;
   m.lpn_of_page[addr.page] = nand::kUnmapped;
   --m.valid_count;
   --valid_pages_;
   if (!m.active && m.next_page == geo_.pages_per_block)
     push_victim_candidate(block_index(addr.chip, addr.block));
+}
+
+void FullPagePool::prefetch_block_meta(const nand::PageAddr& addr) const {
+  const std::size_t idx = block_index(addr.chip, addr.block);
+  if (idx < meta_.size()) util::prefetch(&meta_[idx]);
+}
+
+void FullPagePool::prefetch_page_meta(const nand::PageAddr& addr) const {
+  const std::size_t idx = block_index(addr.chip, addr.block);
+  if (idx >= meta_.size()) return;
+  const BlockMeta& m = meta_[idx];
+  if (addr.page < m.lpn_of_page.size())
+    util::prefetch(&m.lpn_of_page[addr.page]);
 }
 
 void FullPagePool::push_victim_candidate(std::size_t idx) {
@@ -194,7 +201,7 @@ SimTime FullPagePool::collect_block(std::size_t idx, SimTime now,
       idx, now);
   BlockMeta& victim = meta_[idx];
   for (std::uint32_t page = 0; page < geo_.pages_per_block; ++page) {
-    if (!victim.valid[page]) continue;
+    if (!victim.page_valid(page)) continue;
     const std::uint64_t lpn = victim.lpn_of_page[page];
     const nand::PageAddr src{chip, blk, page};
 
@@ -208,11 +215,9 @@ SimTime FullPagePool::collect_block(std::size_t idx, SimTime now,
       const auto ack = dev_.copyback(src, dst_addr, now);
       ++stats_.flash_reads;
       ++stats_.flash_prog_full;
-      victim.valid[page] = false;
       victim.lpn_of_page[page] = nand::kUnmapped;
       --victim.valid_count;
       dst.lpn_of_page[dst_page] = lpn;
-      dst.valid[dst_page] = true;
       ++dst.valid_count;
       if (for_wear_leveling)
         stats_.wear_level_relocations += geo_.subpages_per_page;
@@ -235,7 +240,6 @@ SimTime FullPagePool::collect_block(std::size_t idx, SimTime now,
         ++stats_.read_failures;
     }
     // Invalidate before rewriting so the copy's accounting stays balanced.
-    victim.valid[page] = false;
     victim.lpn_of_page[page] = nand::kUnmapped;
     --victim.valid_count;
     --valid_pages_;
@@ -353,7 +357,7 @@ void FullPagePool::save_state(util::StateWriter& w) const {
     w.u32(m.next_page);
     w.u32(m.valid_count);
     w.pod_vec(m.lpn_of_page);
-    w.bool_vec(m.valid);
+    save_validity_bits(w, m.lpn_of_page);
   }
   w.u64(owned_by_chip_.size());
   for (const auto& owned : owned_by_chip_) w.pod_vec(owned);
@@ -379,7 +383,7 @@ void FullPagePool::load_state(util::StateReader& r) {
     m.next_page = r.u32();
     m.valid_count = r.u32();
     r.pod_vec(m.lpn_of_page);
-    r.bool_vec(m.valid);
+    load_validity_bits(r, m.lpn_of_page, "FullPagePool");
   }
   if (r.u64() != owned_by_chip_.size())
     throw std::runtime_error("FullPagePool::load_state: chip count mismatch");

@@ -59,6 +59,12 @@ class FullPagePool {
   /// Marks a previously written page stale.
   void invalidate(std::uint64_t page_lin);
 
+  /// Host-cache hints (util/prefetch.h) for a batch about to invalidate
+  /// pages: the metadata of the page's block, then -- once that is warm --
+  /// the page's reverse-map entry. No effect on pool state.
+  void prefetch_block_meta(const nand::PageAddr& addr) const;
+  void prefetch_page_meta(const nand::PageAddr& addr) const;
+
   /// Runs one GC pass if the pool is over quota or the allocator is below
   /// reserve; returns the (possibly advanced) time.
   SimTime maybe_gc(SimTime now);
@@ -97,8 +103,13 @@ class FullPagePool {
     bool active = false;              ///< currently receiving writes
     std::uint32_t next_page = 0;      ///< program cursor
     std::uint32_t valid_count = 0;
-    std::vector<std::uint64_t> lpn_of_page;  ///< reverse map
-    std::vector<bool> valid;
+    /// Reverse map; a page is valid exactly when its entry is not
+    /// kUnmapped (every write sets the entry, every invalidation clears
+    /// it), so validity costs no second array.
+    std::vector<std::uint64_t> lpn_of_page;
+    bool page_valid(std::uint32_t page) const {
+      return lpn_of_page[page] != nand::kUnmapped;
+    }
   };
 
   std::size_t block_index(std::uint32_t chip, std::uint32_t block) const {
@@ -144,12 +155,8 @@ class FullPagePool {
       victim_heap_;
   /// Wear-leveling candidates, pushed at seal time (see wear_index.h).
   WearIndex wear_index_;
-  /// Recycled per-page arrays of released blocks.
-  struct SpareArrays {
-    std::vector<std::uint64_t> lpn_of_page;
-    std::vector<bool> valid;
-  };
-  std::vector<SpareArrays> spare_meta_;
+  /// Recycled reverse-map arrays of released blocks.
+  std::vector<std::vector<std::uint64_t>> spare_meta_;
   /// Pooled GC read buffer (collect_block never nests within itself).
   std::vector<std::uint64_t> gc_tokens_;
   std::uint32_t rr_chip_ = 0;

@@ -1,5 +1,6 @@
 #include "ftl/types.h"
 
+#include "nand/address.h"
 #include "telemetry/metrics.h"
 
 namespace esp::ftl {
@@ -186,6 +187,26 @@ void bind_stats(telemetry::MetricsRegistry& registry, const std::string& scope,
   bind("small_write_bytes", stats.small_write_bytes);
   bind("small_service_flash_bytes", stats.small_service_flash_bytes);
   bind("small_extra_flash_bytes", stats.small_extra_flash_bytes);
+}
+
+void save_validity_bits(util::StateWriter& w,
+                        const std::vector<std::uint64_t>& reverse_map) {
+  w.pod_vec_of<std::uint8_t>(reverse_map.size(), [&](std::size_t i) {
+    return reverse_map[i] != nand::kUnmapped;
+  });
+}
+
+void load_validity_bits(util::StateReader& r,
+                        const std::vector<std::uint64_t>& reverse_map,
+                        const char* owner) {
+  r.pod_vec_into<std::uint8_t>(
+      reverse_map.size(), [&](std::size_t i, std::uint8_t bit) {
+        if ((bit != 0) != (reverse_map[i] != nand::kUnmapped))
+          throw std::runtime_error(
+              std::string(owner) +
+              "::load_state: archived valid bit disagrees with the reverse "
+              "map");
+      });
 }
 
 }  // namespace esp::ftl

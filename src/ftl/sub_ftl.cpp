@@ -4,9 +4,11 @@
 #include <array>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "telemetry/metrics.h"
 #include "util/logger.h"
+#include "util/prefetch.h"
 
 namespace esp::ftl {
 namespace {
@@ -55,18 +57,20 @@ SubFtl::SubFtl(nand::NandDevice& dev, const Config& config)
                         config.reference_scan_maintenance},
                 stats_,
                 [this](std::uint64_t sector, std::uint64_t new_lin) {
-                  if (sub_lin_[sector] == nand::kUnmapped) ++sub_entries_;
-                  sub_lin_[sector] = new_lin;
+                  place_subpage(sector, new_lin);
                 },
                 [this](std::span<const SectorWrite> batch, SimTime now,
                        bool retention) {
                   return evict_batch(batch, now, retention);
                 },
                 [this](std::uint64_t sector) -> bool {
-                  return sub_hot_[sector];
+                  return sectors_[sector].hot();
                 },
-                [this](std::uint64_t sector) { sub_hot_[sector] = false; }),
+                [this](std::uint64_t sector) {
+                  sectors_[sector].set_hot(false);
+                }),
       buffer_(config.buffer_sectors) {
+  check_subpage_index_fits(geo_);
   if (config_.logical_sectors == 0)
     throw std::invalid_argument("SubFtl: logical_sectors must be > 0");
   if (config_.subpage_region_fraction <= 0.0 ||
@@ -87,9 +91,15 @@ SubFtl::SubFtl(nand::NandDevice& dev, const Config& config)
         "SubFtl: logical space plus subpage-region quota exceeds physical "
         "capacity; reduce logical_sectors or subpage_region_fraction");
   l2p_.assign(lpns, nand::kUnmapped);
-  sub_lin_.assign(config_.logical_sectors, nand::kUnmapped);
-  sub_hot_.assign(config_.logical_sectors, false);
-  version_.assign(config_.logical_sectors, 0);
+  sectors_.assign(config_.logical_sectors, SectorRecord{});
+}
+
+void SubFtl::check_subpage_index_fits(const nand::Geometry& geo) {
+  if (geo.total_subpages() > SectorRecord::kNotInRegion)
+    throw std::invalid_argument(
+        "SubFtl: geometry has " + std::to_string(geo.total_subpages()) +
+        " linear subpage addresses; the per-sector record holds at most " +
+        std::to_string(SectorRecord::kNotInRegion));
 }
 
 void SubFtl::check_range(std::uint64_t sector, std::uint32_t count) const {
@@ -98,11 +108,18 @@ void SubFtl::check_range(std::uint64_t sector, std::uint32_t count) const {
 }
 
 void SubFtl::drop_subpage_copy(std::uint64_t sector) {
-  if (sub_lin_[sector] == nand::kUnmapped) return;
-  pool_sub_.invalidate(sub_lin_[sector]);
-  sub_lin_[sector] = nand::kUnmapped;
-  sub_hot_[sector] = false;
+  SectorRecord& rec = sectors_[sector];
+  if (!rec.in_region()) return;
+  pool_sub_.invalidate(rec.sub_lin);
+  rec.sub_lin = SectorRecord::kNotInRegion;
+  rec.set_hot(false);
   --sub_entries_;
+}
+
+void SubFtl::place_subpage(std::uint64_t sector, std::uint64_t new_lin) {
+  SectorRecord& rec = sectors_[sector];
+  if (!rec.in_region()) ++sub_entries_;
+  rec.sub_lin = static_cast<std::uint32_t>(new_lin);
 }
 
 SimTime SubFtl::write_full_lpn(std::uint64_t lpn, const BufferedSector* group,
@@ -129,14 +146,13 @@ SimTime SubFtl::write_full_lpn(std::uint64_t lpn, const BufferedSector* group,
 }
 
 SimTime SubFtl::write_small_sector(const BufferedSector& bs, SimTime now) {
-  if (sub_lin_[bs.sector] != nand::kUnmapped) {
+  SectorRecord& rec = sectors_[bs.sector];
+  if (rec.in_region()) {
     // Re-update of a region-resident sector: the old subpage goes stale and
     // the sector is proven hot. The entry leaves the map until the pool
     // re-places it (or the overflow fallback below demotes it).
-    pool_sub_.invalidate(sub_lin_[bs.sector]);
-    sub_lin_[bs.sector] = nand::kUnmapped;
-    --sub_entries_;
-    sub_hot_[bs.sector] = true;
+    drop_subpage_copy(bs.sector);
+    rec.set_hot(true);
   }
   if (const auto placed = pool_sub_.try_write_sector(bs.sector, bs.token,
                                                      now)) {
@@ -146,7 +162,7 @@ SimTime SubFtl::write_small_sector(const BufferedSector& bs, SimTime now) {
   // Overflow valve: the region cannot take another subpage right now
   // (extreme space pressure). Service the write the CGM way instead of
   // failing -- correctness first, the request WAF of this write is 4.
-  sub_hot_[bs.sector] = false;
+  rec.set_hot(false);
   const SimTime done = rmw_into_fullpage(bs.sector, bs.token, now);
   if (bs.small) stats_.small_service_flash_bytes += geo_.page_bytes;
   return done;
@@ -222,6 +238,30 @@ SimTime SubFtl::evict_batch(std::span<const SectorWrite> batch, SimTime now,
               return a.sector < b.sector;
             });
   const std::uint32_t subs = geo_.subpages_per_page;
+  // Gather before use (util/prefetch.h): every line the merge loop below
+  // touches is a likely DRAM miss at prod geometry, and each level depends
+  // on the one before. Hint the batch's sector records and L2P entries,
+  // then the old full pages' device Block objects and pool metadata, then
+  // their slot state and reverse-map entries -- so each level's misses
+  // overlap across the batch instead of serializing per logical page.
+  for (const SectorWrite& sw : sorted) {
+    util::prefetch(&sectors_[sw.sector]);
+    util::prefetch(&l2p_[sw.sector / subs]);
+  }
+  evict_old_pages_.clear();
+  for (std::size_t k = 0; k < sorted.size(); ++k) {
+    const std::uint64_t lpn = sorted[k].sector / subs;
+    if (k > 0 && sorted[k - 1].sector / subs == lpn) continue;
+    if (l2p_[lpn] == nand::kUnmapped) continue;
+    const nand::PageAddr old = codec_.decode_page(l2p_[lpn]);
+    dev_.prefetch_block(old.chip, old.block);
+    pool_full_.prefetch_block_meta(old);
+    evict_old_pages_.push_back(old);
+  }
+  for (const nand::PageAddr& old : evict_old_pages_) {
+    dev_.prefetch_page(old);
+    pool_full_.prefetch_page_meta(old);
+  }
   SimTime done = now;
   std::size_t i = 0;
   std::array<std::uint64_t, nand::kMaxSubpagesPerPage> buf;
@@ -250,9 +290,10 @@ SimTime SubFtl::evict_batch(std::span<const SectorWrite> batch, SimTime now,
     }
     for (std::size_t k = i; k < j; ++k) {
       const std::uint64_t es = sorted[k].sector;
-      if (sub_lin_[es] != nand::kUnmapped) --sub_entries_;
-      sub_lin_[es] = nand::kUnmapped;
-      sub_hot_[es] = false;
+      SectorRecord& rec = sectors_[es];
+      if (rec.in_region()) --sub_entries_;
+      rec.sub_lin = SectorRecord::kNotInRegion;
+      rec.set_hot(false);
       tokens[es % subs] = sorted[k].token;
     }
     const auto [new_lin, page_done] = pool_full_.write_page(lpn, tokens, t);
@@ -295,7 +336,7 @@ IoResult SubFtl::write(std::uint64_t sector, std::uint32_t count, bool sync,
 
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint64_t s = sector + i;
-    if (buffer_.insert(s, make_token(s, ++version_[s]), small))
+    if (buffer_.insert(s, make_token(s, sectors_[s].next_version()), small))
       ++stats_.buffer_hits;
   }
 
@@ -333,9 +374,9 @@ IoResult SubFtl::read(std::uint64_t sector, std::uint32_t count, SimTime now,
       ++i;
       continue;
     }
-    if (sub_lin_[s] != nand::kUnmapped) {
+    if (const SectorRecord& rec = sectors_[s]; rec.in_region()) {
       const auto ack =
-          dev_.read_subpage(codec_.decode_subpage(sub_lin_[s]), now);
+          dev_.read_subpage(codec_.decode_subpage(rec.sub_lin), now);
       ++stats_.flash_reads;
       if (ack.status != nand::ReadStatus::kOk) {
         ok = false;
@@ -363,9 +404,9 @@ IoResult SubFtl::read(std::uint64_t sector, std::uint32_t count, SimTime now,
       if (buffer_.lookup(cur, &token)) {
         ++stats_.buffer_hits;
         if (tokens) (*tokens)[i] = token;
-      } else if (sub_lin_[cur] != nand::kUnmapped) {
+      } else if (const SectorRecord& rec = sectors_[cur]; rec.in_region()) {
         const auto ack =
-            dev_.read_subpage(codec_.decode_subpage(sub_lin_[cur]), now);
+            dev_.read_subpage(codec_.decode_subpage(rec.sub_lin), now);
         ++stats_.flash_reads;
         if (ack.status != nand::ReadStatus::kOk) {
           ok = false;
@@ -466,10 +507,19 @@ void SubFtl::save_state(util::StateWriter& w) const {
   pool_sub_.save_state(w);
   buffer_.save_state(w);
   w.pod_vec(l2p_);
-  w.pod_vec(sub_lin_);
-  w.bool_vec(sub_hot_);
+  // Archived shape: the former sub_lin (u64, kUnmapped = not in region),
+  // hot-bit and version arrays, unpacked from the records.
+  w.pod_vec_of<std::uint64_t>(sectors_.size(), [this](std::size_t i) {
+    const SectorRecord& rec = sectors_[i];
+    return rec.in_region() ? std::uint64_t{rec.sub_lin} : nand::kUnmapped;
+  });
+  w.pod_vec_of<std::uint8_t>(sectors_.size(), [this](std::size_t i) {
+    return sectors_[i].hot();
+  });
   w.u64(sub_entries_);
-  w.pod_vec(version_);
+  w.pod_vec_of<std::uint32_t>(sectors_.size(), [this](std::size_t i) {
+    return sectors_[i].version();
+  });
   w.f64(last_retention_scan_);
   w.u32(writes_since_wl_);
   w.b(wl_toggle_);
@@ -483,10 +533,28 @@ void SubFtl::load_state(util::StateReader& r) {
   pool_sub_.load_state(r);
   buffer_.load_state(r);
   r.pod_vec(l2p_);
-  r.pod_vec(sub_lin_);
-  r.bool_vec(sub_hot_);
+  r.pod_vec_into<std::uint64_t>(
+      sectors_.size(), [this](std::size_t i, std::uint64_t lin) {
+        if (lin != nand::kUnmapped && lin >= SectorRecord::kNotInRegion)
+          throw std::runtime_error(
+              "SubFtl::load_state: subpage address does not fit the record");
+        sectors_[i].sub_lin = lin == nand::kUnmapped
+                                  ? SectorRecord::kNotInRegion
+                                  : static_cast<std::uint32_t>(lin);
+      });
+  r.pod_vec_into<std::uint8_t>(
+      sectors_.size(), [this](std::size_t i, std::uint8_t hot) {
+        sectors_[i].version_hot = hot ? SectorRecord::kHotBit : 0;
+      });
   sub_entries_ = r.u64();
-  r.pod_vec(version_);
+  r.pod_vec_into<std::uint32_t>(
+      sectors_.size(), [this](std::size_t i, std::uint32_t version) {
+        if (version > SectorRecord::kVersionMask)
+          throw std::runtime_error(
+              "SubFtl::load_state: sector version " +
+              std::to_string(version) + " does not fit 31 bits");
+        sectors_[i].version_hot |= version;
+      });
   last_retention_scan_ = r.f64();
   writes_since_wl_ = r.u32();
   wl_toggle_ = r.b();

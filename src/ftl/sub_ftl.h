@@ -62,6 +62,11 @@ class SubFtl : public Ftl {
 
   SubFtl(nand::NandDevice& dev, const Config& config);
 
+  /// Throws std::invalid_argument when `geo` has more linear subpage
+  /// addresses than a per-sector record's 32-bit index can hold below its
+  /// "not in the region" sentinel. The constructor calls it first.
+  static void check_subpage_index_fits(const nand::Geometry& geo);
+
   IoResult write(std::uint64_t sector, std::uint32_t count, bool sync,
                  SimTime now) override;
   IoResult read(std::uint64_t sector, std::uint32_t count, SimTime now,
@@ -107,6 +112,8 @@ class SubFtl : public Ftl {
   SimTime rmw_into_fullpage(std::uint64_t sector, std::uint64_t token,
                             SimTime now);
   void drop_subpage_copy(std::uint64_t sector);
+  /// Enters (sector -> new_lin) in the subpage map.
+  void place_subpage(std::uint64_t sector, std::uint64_t new_lin);
   void check_range(std::uint64_t sector, std::uint32_t count) const;
 
   nand::NandDevice& dev_;
@@ -119,20 +126,47 @@ class SubFtl : public Ftl {
   SubpagePool pool_sub_;
   WriteBuffer buffer_;
   /// Pooled scratch, not archived (capacity only, no behavior): the
-  /// extraction target for buffer_ (flushes never nest) and evict_batch's
-  /// sorted copy of the batch (eviction never nests either).
+  /// extraction target for buffer_ (flushes never nest), and evict_batch's
+  /// sorted copy of the batch and its old full pages (eviction never nests
+  /// either).
   std::vector<BufferedSector> extracted_;
   std::vector<SectorWrite> evict_sorted_;
+  std::vector<nand::PageAddr> evict_old_pages_;
   std::vector<std::uint64_t> l2p_;      ///< lpn -> linear page (full region)
-  /// Subpage map as flat per-sector arrays (kUnmapped = not in the region):
-  /// the small-write/read hot path costs one indexed load instead of a
-  /// hash+probe. The MODELED mapping cost stays the paper's hash table --
-  /// 16 bytes per live entry, counted by sub_entries_ -- not these
-  /// simulator-side arrays.
-  std::vector<std::uint64_t> sub_lin_;  ///< sector -> linear subpage
-  std::vector<bool> sub_hot_;  ///< updated since entering the region
+  /// Everything the hot path keeps per logical sector, packed into one
+  /// 8-byte record so a write or read of a sector costs one cache miss:
+  /// the subpage map entry (the flat-array form of the paper's hash
+  /// table -- one indexed load instead of a hash+probe), the write
+  /// version its tokens carry, and the hot flag (updated since entering
+  /// the region). The MODELED mapping cost stays the paper's hash table --
+  /// 16 bytes per live entry, counted by sub_entries_ -- not this
+  /// simulator-side array. Snapshots archive the former three-array shape
+  /// (save_state/load_state convert).
+  struct SectorRecord {
+    static constexpr std::uint32_t kNotInRegion = ~0u;
+    static constexpr std::uint32_t kHotBit = 1u << 31;
+    static constexpr std::uint32_t kVersionMask = kHotBit - 1;
+
+    std::uint32_t sub_lin = kNotInRegion;  ///< linear subpage address
+    std::uint32_t version_hot = 0;  ///< bit 31: hot; bits 0-30: version
+
+    bool in_region() const { return sub_lin != kNotInRegion; }
+    bool hot() const { return (version_hot & kHotBit) != 0; }
+    void set_hot(bool hot) {
+      version_hot = hot ? version_hot | kHotBit : version_hot & kVersionMask;
+    }
+    std::uint32_t version() const { return version_hot & kVersionMask; }
+    /// Counts one more write and returns the new version (31-bit wrap;
+    /// tokens carry only the low 24 bits).
+    std::uint32_t next_version() {
+      version_hot = (version_hot & kHotBit) |
+                    ((version_hot + 1) & kVersionMask);
+      return version();
+    }
+  };
+  static_assert(sizeof(SectorRecord) == 8);
+  std::vector<SectorRecord> sectors_;
   std::size_t sub_entries_ = 0;  ///< live subpage-map entries
-  std::vector<std::uint32_t> version_;
   SimTime last_retention_scan_ = 0.0;
   std::uint32_t writes_since_wl_ = 0;
   bool wl_toggle_ = false;  ///< alternate regions between WL checks

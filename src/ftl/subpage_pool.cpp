@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "util/logger.h"
+#include "util/prefetch.h"
 
 namespace esp::ftl {
 
@@ -59,7 +60,6 @@ void SubpagePool::note_idle_candidate(std::size_t idx) {
 void SubpagePool::retire_meta_arrays(BlockMeta& m) {
   auto& spare = spare_meta_.emplace_back();
   spare.sector_of_page = std::move(m.sector_of_page);
-  spare.valid = std::move(m.valid);
   spare.written_at = std::move(m.written_at);
 }
 
@@ -67,12 +67,10 @@ void SubpagePool::init_meta_arrays(BlockMeta& m) {
   if (!spare_meta_.empty()) {
     auto& spare = spare_meta_.back();
     m.sector_of_page = std::move(spare.sector_of_page);
-    m.valid = std::move(spare.valid);
     m.written_at = std::move(spare.written_at);
     spare_meta_.pop_back();
   }
   m.sector_of_page.assign(geo_.pages_per_block, nand::kUnmapped);
-  m.valid.assign(geo_.pages_per_block, false);
   m.written_at.assign(geo_.pages_per_block, 0.0);
 }
 
@@ -130,7 +128,7 @@ bool SubpagePool::acquire_slot(std::uint32_t chip, SimTime& t,
       BlockMeta& m = meta_[block_index(chip, *active)];
       while (m.cursor < geo_.pages_per_block) {
         const std::uint32_t p = m.cursor;
-        if (m.valid[p]) {
+        if (m.page_valid(p)) {
           // Valid data in the way: forward it into this level's slot and
           // keep walking (the paper's Fig. 7(c) migration).
           t = forward_page(chip, *active, p, m.level, t);
@@ -220,7 +218,6 @@ std::optional<std::pair<std::uint64_t, SimTime>> SubpagePool::try_write_sector(
     ++stats_.flash_prog_sub;
     BlockMeta& m = meta_[block_index(chip, blk)];
     m.sector_of_page[page] = sector;
-    m.valid[page] = true;
     m.written_at[page] = t;
     if (!config_.reference_scan_maintenance)
       retention_queue_.push(block_index(chip, blk), page, t);
@@ -272,7 +269,7 @@ std::optional<std::pair<std::uint64_t, SimTime>> SubpagePool::try_write_sector(
 void SubpagePool::invalidate(std::uint64_t sub_lin) {
   const nand::SubpageAddr addr = codec_.decode_subpage(sub_lin);
   BlockMeta& m = meta_[block_index(addr.page.chip, addr.page.block)];
-  if (!m.owned || !m.valid[addr.page.page])
+  if (!m.owned || !m.page_valid(addr.page.page))
     throw std::logic_error("SubpagePool::invalidate: page not valid");
   // Guard against stale pointers: the live copy must be the page's latest
   // programmed slot.
@@ -282,7 +279,6 @@ void SubpagePool::invalidate(std::uint64_t sub_lin) {
   if (addr.slot + 1 != programmed)
     throw std::logic_error(
         "SubpagePool::invalidate: address does not match live slot");
-  m.valid[addr.page.page] = false;
   m.sector_of_page[addr.page.page] = nand::kUnmapped;
   --m.valid_count;
   --valid_sectors_;
@@ -341,14 +337,13 @@ SimTime SubpagePool::collect_block(std::size_t idx, SimTime now,
   evictions.clear();
   evictions.reserve(victim.valid_count);
   for (std::uint32_t page = 0; page < geo_.pages_per_block; ++page) {
-    if (!victim.valid[page]) continue;
+    if (!victim.page_valid(page)) continue;
     const std::uint64_t sector = victim.sector_of_page[page];
     const auto live_slot = dev_.block(chip, blk).slots_programmed(page) - 1;
     const auto read = dev_.read_subpage(
         nand::SubpageAddr{nand::PageAddr{chip, blk, page}, live_slot}, t);
     ++stats_.flash_reads;
     if (read.status != nand::ReadStatus::kOk) ++stats_.read_failures;
-    victim.valid[page] = false;
     victim.sector_of_page[page] = nand::kUnmapped;
     --victim.valid_count;
     --valid_sectors_;
@@ -521,14 +516,13 @@ SimTime SubpagePool::retention_evict_pages(std::uint32_t chip, std::uint32_t b,
   const SimTime block_start = t;
   retention_evictions_.clear();
   for (const std::uint32_t page : pages) {
-    if (!m.valid[page]) continue;  // duplicate queue entries
+    if (!m.page_valid(page)) continue;  // duplicate queue entries
     const std::uint64_t sector = m.sector_of_page[page];
     const auto live_slot = dev_.block(chip, b).slots_programmed(page) - 1;
     const auto read = dev_.read_subpage(
         nand::SubpageAddr{nand::PageAddr{chip, b, page}, live_slot}, t);
     ++stats_.flash_reads;
     if (read.status != nand::ReadStatus::kOk) ++stats_.read_failures;
-    m.valid[page] = false;
     m.sector_of_page[page] = nand::kUnmapped;
     --m.valid_count;
     --valid_sectors_;
@@ -563,7 +557,7 @@ SimTime SubpagePool::retention_scan_reference(SimTime now) {
       if (m.valid_count == 0) continue;
       retention_pages_.clear();
       for (std::uint32_t page = 0; page < geo_.pages_per_block; ++page) {
-        if (!m.valid[page]) continue;
+        if (!m.page_valid(page)) continue;
         if (now - m.written_at[page] <= config_.retention_evict_age) continue;
         retention_pages_.push_back(page);
       }
@@ -584,13 +578,25 @@ SimTime SubpagePool::retention_scan_indexed(SimTime now) {
         return now - written_at > config_.retention_evict_age;
       },
       retention_expired_);
+  // Gather before use: hint every entry's block metadata, then (with those
+  // lines in flight or warm) its page entries, so the stale filter's
+  // misses overlap instead of serializing. Hints only (util/prefetch.h).
+  for (const auto& e : retention_expired_)
+    util::prefetch(&meta_[e.block_idx]);
+  for (const auto& e : retention_expired_) {
+    const BlockMeta& m = meta_[e.block_idx];
+    if (!m.owned) continue;
+    util::prefetch(&m.sector_of_page[e.page]);
+    util::prefetch(&m.written_at[e.page]);
+  }
   // Drop stale entries: the decision depends only on (owned, valid,
   // written_at), so an entry matching all three is exactly a page the
   // reference walk would evict now.
   std::size_t kept = 0;
   for (const auto& e : retention_expired_) {
     const BlockMeta& m = meta_[e.block_idx];
-    if (m.owned && m.valid[e.page] && m.written_at[e.page] == e.written_at)
+    if (m.owned && m.page_valid(e.page) &&
+        m.written_at[e.page] == e.written_at)
       retention_expired_[kept++] = e;
   }
   retention_expired_.resize(kept);
@@ -602,6 +608,20 @@ SimTime SubpagePool::retention_scan_indexed(SimTime now) {
               return a.block_idx != b.block_idx ? a.block_idx < b.block_idx
                                                 : a.page < b.page;
             });
+  // The eviction loop reads every surviving page's live slot: hint the
+  // device blocks, then their pages, ahead of it.
+  for (std::size_t i = 0; i < retention_expired_.size(); ++i) {
+    const std::size_t idx = retention_expired_[i].block_idx;
+    if (i == 0 || retention_expired_[i - 1].block_idx != idx)
+      dev_.prefetch_block(
+          static_cast<std::uint32_t>(idx / geo_.blocks_per_chip),
+          static_cast<std::uint32_t>(idx % geo_.blocks_per_chip));
+  }
+  for (const auto& e : retention_expired_)
+    dev_.prefetch_page(nand::PageAddr{
+        static_cast<std::uint32_t>(e.block_idx / geo_.blocks_per_chip),
+        static_cast<std::uint32_t>(e.block_idx % geo_.blocks_per_chip),
+        e.page});
   SimTime t = now;
   for (std::size_t i = 0; i < retention_expired_.size();) {
     const std::size_t idx = retention_expired_[i].block_idx;
@@ -652,7 +672,7 @@ void SubpagePool::save_state(util::StateWriter& w) const {
     w.u32(m.cursor);
     w.u32(m.valid_count);
     w.pod_vec(m.sector_of_page);
-    w.bool_vec(m.valid);
+    save_validity_bits(w, m.sector_of_page);
     w.pod_vec(m.written_at);
   }
   w.u64(owned_by_chip_.size());
@@ -681,7 +701,7 @@ void SubpagePool::load_state(util::StateReader& r) {
     m.cursor = r.u32();
     m.valid_count = r.u32();
     r.pod_vec(m.sector_of_page);
-    r.bool_vec(m.valid);
+    load_validity_bits(r, m.sector_of_page, "SubpagePool");
     r.pod_vec(m.written_at);
   }
   if (r.u64() != owned_by_chip_.size())

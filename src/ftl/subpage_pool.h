@@ -148,9 +148,14 @@ class SubpagePool {
     std::uint8_t level = 0;        ///< slot index currently being filled
     std::uint32_t cursor = 0;      ///< next page to consider at this level
     std::uint32_t valid_count = 0;
-    std::vector<std::uint64_t> sector_of_page;  ///< live sector per page
-    std::vector<bool> valid;
+    /// Live sector per page; a page holds valid data exactly when its
+    /// entry is not kUnmapped (every program sets it, every invalidation
+    /// or eviction clears it), so validity costs no second array.
+    std::vector<std::uint64_t> sector_of_page;
     std::vector<SimTime> written_at;  ///< program time of the live subpage
+    bool page_valid(std::uint32_t page) const {
+      return sector_of_page[page] != nand::kUnmapped;
+    }
   };
 
   std::size_t block_index(std::uint32_t chip, std::uint32_t block) const {
@@ -233,7 +238,6 @@ class SubpagePool {
   /// Recycled per-page arrays of released blocks (see retire_meta_arrays).
   struct SpareArrays {
     std::vector<std::uint64_t> sector_of_page;
-    std::vector<bool> valid;
     std::vector<SimTime> written_at;
   };
   std::vector<SpareArrays> spare_meta_;

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "util/serialize.h"
 #include "util/sim_time.h"
@@ -132,6 +133,17 @@ FtlStats stats_delta(const FtlStats& after, const FtlStats& before);
 /// restore-equivalence of exported metric sets is unaffected).
 void save_stats(util::StateWriter& w, const FtlStats& s);
 void load_stats(util::StateReader& r, FtlStats& s);
+
+/// Snapshot v1 archives a validity bit per page (per slot) beside each
+/// pool block's reverse map. The pools now derive validity from the map
+/// (valid == entry is not kUnmapped): save writes the derived bits in the
+/// archived shape; load reads them back and throws std::runtime_error,
+/// naming `owner`, when a bit disagrees with its entry.
+void save_validity_bits(util::StateWriter& w,
+                        const std::vector<std::uint64_t>& reverse_map);
+void load_validity_bits(util::StateReader& r,
+                        const std::vector<std::uint64_t>& reverse_map,
+                        const char* owner);
 
 /// Counter-wise sum: aggregate stats of independent FTL instances (the
 /// shard-merge reconciliation -- merged counters are BY CONSTRUCTION the

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "nand/geometry.h"
+#include "util/prefetch.h"
 #include "util/serialize.h"
 #include "util/sim_time.h"
 
@@ -74,6 +75,23 @@ class Block {
   /// erase cycle (= next programmable slot index in ESP mode).
   std::uint32_t slots_programmed(std::uint32_t page) const {
     return programmed_.at(page);
+  }
+
+  /// Host-cache hint (util/prefetch.h): pulls the page's mode, program
+  /// count and slot state toward the CPU caches ahead of a read or
+  /// program. No effect on block state.
+  void prefetch_page(std::uint32_t page) const {
+    if (page >= pages_) return;
+    const std::size_t first = idx(page, 0);
+    const std::size_t last = idx(page, subs_ - 1);
+    util::prefetch(&mode_[page]);
+    util::prefetch(&programmed_[page]);
+    util::prefetch(&state_[first]);
+    util::prefetch(&npp_[first]);
+    util::prefetch(&token_[first]);
+    util::prefetch(&token_[last]);
+    util::prefetch(&written_at_[first]);
+    util::prefetch(&written_at_[last]);
   }
 
   std::uint32_t pe_cycles() const { return pe_cycles_; }

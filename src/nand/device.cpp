@@ -26,15 +26,17 @@ NandDevice::NandDevice(const Geometry& geo, const TimingSpec& timing,
 }
 
 Block& NandDevice::block_ref(std::uint32_t chip, std::uint32_t blk) {
-  if (chip >= geo_.total_chips() || blk >= geo_.blocks_per_chip)
+  const std::size_t i = flat_block(chip, blk);
+  if (i == blocks_.size())
     throw std::out_of_range("NandDevice: chip/block out of range");
-  return blocks_[static_cast<std::size_t>(chip) * geo_.blocks_per_chip + blk];
+  return blocks_[i];
 }
 
 const Block& NandDevice::block(std::uint32_t chip, std::uint32_t blk) const {
-  if (chip >= geo_.total_chips() || blk >= geo_.blocks_per_chip)
+  const std::size_t i = flat_block(chip, blk);
+  if (i == blocks_.size())
     throw std::out_of_range("NandDevice: chip/block out of range");
-  return blocks_[static_cast<std::size_t>(chip) * geo_.blocks_per_chip + blk];
+  return blocks_[i];
 }
 
 SimTime NandDevice::schedule(std::uint32_t chip, SimTime array_us,

@@ -106,6 +106,20 @@ class NandDevice {
   const DeviceCounters& counters() const { return counters_; }
   const Block& block(std::uint32_t chip, std::uint32_t blk) const;
 
+  /// Host-cache hints (util/prefetch.h), for batched paths that know
+  /// their addresses before they issue the commands: warm the Block object
+  /// of (chip, blk), or one page's slot state (which reads the Block
+  /// object, so hint the block first when it is cold). No effect on device
+  /// state, counters or simulated time; out-of-range addresses are ignored.
+  void prefetch_block(std::uint32_t chip, std::uint32_t blk) const {
+    const std::size_t i = flat_block(chip, blk);
+    if (i < blocks_.size()) util::prefetch(&blocks_[i]);
+  }
+  void prefetch_page(const PageAddr& addr) const {
+    const std::size_t i = flat_block(addr.chip, addr.block);
+    if (i < blocks_.size()) blocks_[i].prefetch_page(addr.page);
+  }
+
   std::uint32_t pe_cycles(std::uint32_t chip, std::uint32_t blk) const {
     return block(chip, blk).pe_cycles();
   }
@@ -169,6 +183,12 @@ class NandDevice {
   void load_state(util::StateReader& r);
 
  private:
+  /// Index into blocks_, or blocks_.size() for an out-of-range address.
+  std::size_t flat_block(std::uint32_t chip, std::uint32_t blk) const {
+    if (chip >= geo_.total_chips() || blk >= geo_.blocks_per_chip)
+      return blocks_.size();
+    return static_cast<std::size_t>(chip) * geo_.blocks_per_chip + blk;
+  }
   Block& block_ref(std::uint32_t chip, std::uint32_t blk);
   /// Retention/ECC verdict for one slot the caller has already read.
   ReadStatus verdict(const Block& blk, std::uint32_t page,

@@ -28,8 +28,7 @@ Driver::Driver(ftl::Ftl& ftl, nand::NandDevice& dev,
     : ftl_(ftl),
       dev_(dev),
       queue_depth_(queue_depth == 0 ? 1 : queue_depth),
-      shadow_version_(ftl.logical_sectors(), 0),
-      shadow_trimmed_(ftl.logical_sectors(), false) {
+      shadow_version_(ftl.logical_sectors(), 0) {
   // Pre-size the hot-path scratch so steady-state submission never
   // reallocates: the in-flight window tops out at queue_depth slots, and
   // the read-token buffer at the largest multi-page read a workload
@@ -57,9 +56,9 @@ void Driver::check_sector_range(std::uint64_t sector,
 }
 
 std::uint64_t Driver::expected_token_unchecked(std::uint64_t sector) const {
-  if (shadow_trimmed_[sector]) return 0;
-  const std::uint32_t version = shadow_version_[sector];
-  return version == 0 ? 0 : ftl::make_token(sector, version);
+  const std::uint32_t shadow = shadow_version_[sector];
+  if (shadow & kShadowTrimmed) return 0;
+  return shadow == 0 ? 0 : ftl::make_token(sector, shadow);
 }
 
 std::uint64_t Driver::expected_token(std::uint64_t sector) const {
@@ -100,8 +99,8 @@ Completion Driver::submit_at(const workload::Request& request, SimTime arrival,
     case Request::Type::kWrite:
       check_sector_range(request.sector, request.count);
       for (std::uint32_t i = 0; i < request.count; ++i) {
-        ++shadow_version_[request.sector + i];
-        shadow_trimmed_[request.sector + i] = false;
+        std::uint32_t& shadow = shadow_version_[request.sector + i];
+        shadow = (shadow + 1) & kShadowVersionMask;  // also clears trimmed
       }
       result = ftl_.write(request.sector, request.count, request.sync, issue);
       break;
@@ -136,7 +135,7 @@ Completion Driver::submit_at(const workload::Request& request, SimTime arrival,
       const std::uint64_t end_lpn = (request.sector + request.count) / subs;
       for (std::uint64_t lpn = first_lpn; lpn < end_lpn; ++lpn)
         for (std::uint32_t i = 0; i < subs; ++i)
-          shadow_trimmed_[lpn * subs + i] = true;
+          shadow_version_[lpn * subs + i] |= kShadowTrimmed;
       break;
     }
     case Request::Type::kFlush:
@@ -252,8 +251,12 @@ void Driver::save_state(util::StateWriter& w) const {
   w.f64(now_);
   w.f64(arrival_);
   w.pod_vec(util::heap_container(inflight_));
-  w.pod_vec(shadow_version_);
-  w.bool_vec(shadow_trimmed_);
+  w.pod_vec_of<std::uint32_t>(shadow_version_.size(), [this](std::size_t i) {
+    return shadow_version_[i] & kShadowVersionMask;
+  });
+  w.pod_vec_of<std::uint8_t>(shadow_version_.size(), [this](std::size_t i) {
+    return (shadow_version_[i] & kShadowTrimmed) != 0;
+  });
   w.u64(verify_failures_);
   w.u64(io_errors_);
   latency_.save_state(w);
@@ -270,11 +273,19 @@ void Driver::load_state(util::StateReader& r) {
   now_ = r.f64();
   arrival_ = r.f64();
   r.pod_vec(util::heap_container(inflight_));
-  r.pod_vec(shadow_version_);
-  r.bool_vec(shadow_trimmed_);
-  if (shadow_version_.size() != ftl_.logical_sectors() ||
-      shadow_trimmed_.size() != ftl_.logical_sectors())
-    throw std::runtime_error("Driver::load_state: logical space mismatch");
+  // Archived shape: a version array, then a trimmed-bit array (both
+  // throw on a logical-space mismatch).
+  r.pod_vec_into<std::uint32_t>(
+      shadow_version_.size(), [this](std::size_t i, std::uint32_t version) {
+        if (version > kShadowVersionMask)
+          throw std::runtime_error(
+              "Driver::load_state: sector version does not fit 31 bits");
+        shadow_version_[i] = version;
+      });
+  r.pod_vec_into<std::uint8_t>(
+      shadow_version_.size(), [this](std::size_t i, std::uint8_t trimmed) {
+        if (trimmed) shadow_version_[i] |= kShadowTrimmed;
+      });
   verify_failures_ = r.u64();
   io_errors_ = r.u64();
   latency_.load_state(r);

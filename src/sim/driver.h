@@ -208,10 +208,14 @@ class Driver {
   /// Completion times of in-flight requests (min-heap, size <= QD).
   std::priority_queue<SimTime, std::vector<SimTime>, std::greater<>>
       inflight_;
+  /// Expected state per sector in one word, so the per-sector shadow loops
+  /// cost one cache miss: the write version in bits 0-30, and in bit 31
+  /// the "discarded" flag (set by whole-page trims, cleared by rewrites --
+  /// mirrors the FTLs' page-aligned trim semantics). Snapshots archive the
+  /// former version and trimmed-bit arrays (save_state/load_state convert).
+  static constexpr std::uint32_t kShadowTrimmed = 1u << 31;
+  static constexpr std::uint32_t kShadowVersionMask = kShadowTrimmed - 1;
   std::vector<std::uint32_t> shadow_version_;
-  /// Sectors whose latest state is "discarded" (set by whole-page trims,
-  /// cleared by rewrites) -- mirrors the FTLs' page-aligned trim semantics.
-  std::vector<bool> shadow_trimmed_;
   std::uint64_t verify_failures_ = 0;
   std::uint64_t io_errors_ = 0;
   /// 0..200 ms in 2000 buckets: covers buffered hits through GC stalls.

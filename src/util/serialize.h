@@ -60,9 +60,24 @@ class StateWriter {
     if (!v.empty()) raw(v.data(), v.size() * sizeof(T));
   }
 
-  void bool_vec(const std::vector<bool>& v) {
-    u64(v.size());
-    for (std::size_t i = 0; i < v.size(); ++i) u8(v[i] ? 1 : 0);
+  /// Writes exactly the bytes pod_vec would write for a std::vector<T> of
+  /// `n` elements whose i-th element is `at(i)`, without materializing the
+  /// vector: lets a layer whose in-memory shape differs from its archived
+  /// one (packed records, flags folded into spare bits) keep the archive
+  /// layout. Bit arrays are archived this way as T = std::uint8_t with 0/1
+  /// elements.
+  template <typename T, typename F>
+  void pod_vec_of(std::size_t n, F&& at) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    u64(n);
+    constexpr std::size_t per = kChunk / sizeof(T);
+    T buf[per];
+    for (std::size_t i = 0; i < n;) {
+      const std::size_t len = n - i < per ? n - i : per;
+      for (std::size_t k = 0; k < len; ++k) buf[k] = at(i + k);
+      raw(buf, len * sizeof(T));
+      i += len;
+    }
   }
 
   /// std::pair is not trivially copyable; its members are written
@@ -85,6 +100,7 @@ class StateWriter {
   }
 
  private:
+  static constexpr std::size_t kChunk = 16 * 1024;
   std::ostream& os_;
 };
 
@@ -141,9 +157,22 @@ class StateReader {
     if (!v.empty()) raw(v.data(), v.size() * sizeof(T));
   }
 
-  void bool_vec(std::vector<bool>& v) {
-    v.assign(checked_count(u64(), 1), false);
-    for (std::size_t i = 0; i < v.size(); ++i) v[i] = u8() != 0;
+  /// Reads a vector archived by pod_vec<T> or pod_vec_of<T> element by
+  /// element, handing each to `put(i, value)` instead of materializing it.
+  /// The archived count must equal `n`.
+  template <typename T, typename F>
+  void pod_vec_into(std::size_t n, F&& put) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if (checked_count(u64(), sizeof(T)) != n)
+      throw std::runtime_error("StateReader: vector length mismatch");
+    constexpr std::size_t per = kChunk / sizeof(T);
+    T buf[per];
+    for (std::size_t i = 0; i < n;) {
+      const std::size_t len = n - i < per ? n - i : per;
+      raw(buf, len * sizeof(T));
+      for (std::size_t k = 0; k < len; ++k) put(i + k, buf[k]);
+      i += len;
+    }
   }
 
   template <typename A, typename B>
@@ -164,6 +193,7 @@ class StateReader {
   }
 
  private:
+  static constexpr std::size_t kChunk = 16 * 1024;
   /// Caps element counts so a corrupt length prefix fails with a clear
   /// error instead of a bad_alloc.
   static std::uint64_t checked_count(std::uint64_t n, std::size_t elem) {

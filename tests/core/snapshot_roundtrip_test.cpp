@@ -233,5 +233,43 @@ TEST(SnapshotRoundtrip, SnapshotBytesIndependentOfStackHistory) {
       << "snapshots differ at byte " << (diff.first - snaps[0].begin());
 }
 
+// FNV-1a 64-bit over a file's bytes.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(SnapshotRoundtrip, SnapshotBytesPinnedToFormatV1) {
+  // The v1 archive layout is a contract: in-memory layouts may change
+  // (packed per-sector records, validity read from reverse maps) but
+  // save_state must keep writing the archived shapes. Each FTL's
+  // checkpoint of one seeded run, with the journal, health and forensics
+  // observers on, hashes to the value the v1 layout produced when it was
+  // recorded. A mismatch means the archive changed: restore that layer's
+  // archived shape, or bump kSnapshotFormatVersion and re-record.
+  const std::pair<FtlKind, std::uint64_t> pinned[] = {
+      {FtlKind::kCgm, 0x4e7371163516535bull},
+      {FtlKind::kFgm, 0x6f56a72837b4887cull},
+      {FtlKind::kSub, 0x91576a3c1581f906ull},
+      {FtlKind::kSectorLog, 0x2927d1a837a25d0full},
+  };
+  for (const auto& [kind, want] : pinned) {
+    auto cell = make_cell("pin", kind);
+    cell.spec.snapshot_out = ::testing::TempDir() + "snap-pin-" +
+                             core::ftl_kind_name(kind) + ".snap";
+    cell.spec.snapshot_after_requests = kCheckpointAfter;
+    core::run_experiment(cell.spec);
+    const std::string snap = slurp(cell.spec.snapshot_out);
+    ASSERT_FALSE(snap.empty()) << core::ftl_kind_name(kind);
+    EXPECT_EQ(fnv1a(snap), want)
+        << core::ftl_kind_name(kind) << " snapshot hash 0x" << std::hex
+        << fnv1a(snap);
+  }
+}
+
 }  // namespace
 }  // namespace esp

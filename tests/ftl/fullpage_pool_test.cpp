@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "ftl/block_allocator.h"
@@ -189,6 +192,64 @@ TEST(FullPagePool, RequiresRelocateCallback) {
   EXPECT_THROW(FullPagePool(dev, allocator, FullPagePool::Config{}, stats,
                             nullptr),
                std::invalid_argument);
+}
+
+TEST(FullPagePool, LoadStateRejectsValidBitDisagreeingWithReverseMap) {
+  // Validity lives in the reverse map; the v1 archive still carries one
+  // valid byte per page beside it, and a load must not trust a byte that
+  // disagrees with its entry.
+  PoolFixture fx;
+  fx.write(7, 0.0);
+  std::ostringstream os;
+  util::StateWriter w(os);
+  fx.pool->save_state(w);
+  const std::string bytes = os.str();
+
+  // Walk the v1 POOL layout to the owned block's valid bytes: tag, block
+  // count, then per block owned/active bytes, next_page, valid_count,
+  // the lpn_of_page vector and the valid-byte vector.
+  auto u32_at = [&](std::size_t off) {
+    std::uint32_t v;
+    std::memcpy(&v, bytes.data() + off, 4);
+    return v;
+  };
+  auto u64_at = [&](std::size_t off) {
+    std::uint64_t v;
+    std::memcpy(&v, bytes.data() + off, 8);
+    return v;
+  };
+  std::size_t off = 4;
+  const std::uint64_t blocks = u64_at(off);
+  off += 8;
+  std::size_t valid_bytes = 0;
+  for (std::uint64_t b = 0; b < blocks && valid_bytes == 0; ++b) {
+    const bool owned = bytes[off] != 0;
+    ASSERT_LE(u32_at(off + 2), tiny_geo().pages_per_block);
+    off += 2 + 4 + 4;
+    const std::uint64_t lpns = u64_at(off);
+    off += 8 + 8 * lpns;
+    ASSERT_EQ(u64_at(off), lpns);
+    off += 8;
+    if (owned) valid_bytes = off;
+    off += lpns;
+  }
+  ASSERT_NE(valid_bytes, 0u);
+  ASSERT_EQ(bytes[valid_bytes], 1);      // page 0 holds lpn 7
+  ASSERT_EQ(bytes[valid_bytes + 1], 0);  // page 1 is unwritten
+
+  auto load = [](const std::string& b) {
+    PoolFixture fresh;
+    std::istringstream is(b);
+    util::StateReader r(is);
+    fresh.pool->load_state(r);
+  };
+  EXPECT_NO_THROW(load(bytes));
+  std::string cleared = bytes;
+  cleared[valid_bytes] = 0;
+  EXPECT_THROW(load(cleared), std::runtime_error);
+  std::string set = bytes;
+  set[valid_bytes + 1] = 1;
+  EXPECT_THROW(load(set), std::runtime_error);
 }
 
 }  // namespace

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <sstream>
+#include <string>
+
 #include "ftl/types.h"
 #include "nand/device.h"
 
@@ -221,6 +225,90 @@ TEST(SubFtl, RejectsImpossibleConfigs) {
   cfg.subpage_region_fraction = 0.9;
   cfg.logical_sectors = dev.geometry().total_subpages() / 2;
   EXPECT_THROW(SubFtl(dev, cfg), std::invalid_argument);
+}
+
+TEST(SubFtl, SubpageIndexFitCheckRejectsOversizedGeometry) {
+  // The per-sector record keeps a 32-bit linear subpage index with ~0u as
+  // its "not in the region" sentinel. Checked on the geometry alone: no
+  // device of that size is ever built.
+  nand::Geometry at_limit;  // 3 * 5 * (17 * 257) * 65537 = 2^32 - 1
+  at_limit.channels = 3;
+  at_limit.chips_per_channel = 5;
+  at_limit.blocks_per_chip = 17 * 257;
+  at_limit.pages_per_block = 65537;
+  at_limit.page_bytes = 4096;
+  at_limit.subpages_per_page = 1;
+  ASSERT_EQ(at_limit.total_subpages(), 0xFFFFFFFFull);
+  EXPECT_NO_THROW(SubFtl::check_subpage_index_fits(at_limit));
+
+  nand::Geometry over;  // 2^16 blocks * 2^14 pages * 4 subpages = 2^32
+  over.channels = 1;
+  over.chips_per_channel = 1;
+  over.blocks_per_chip = 1u << 16;
+  over.pages_per_block = 1u << 14;
+  ASSERT_EQ(over.total_subpages(), 1ull << 32);
+  EXPECT_THROW(SubFtl::check_subpage_index_fits(over), std::invalid_argument);
+
+  EXPECT_NO_THROW(SubFtl::check_subpage_index_fits(nand::prod_geometry()));
+}
+
+std::string save(const SubFtl& ftl) {
+  std::ostringstream os;
+  util::StateWriter w(os);
+  ftl.save_state(w);
+  return os.str();
+}
+
+void load(SubFtl& ftl, const std::string& bytes) {
+  std::istringstream is(bytes);
+  util::StateReader r(is);
+  ftl.load_state(r);
+}
+
+TEST(SubFtl, SnapshotRoundTripKeepsPackedRecords) {
+  // Region-resident, hot (re-updated) and full-page-region sectors: the
+  // archive unpacks the records into the v1 arrays and load packs them
+  // back, so a second save is byte-identical to the first.
+  SubFixture fx;
+  SimTime now = 0.0;
+  for (int i = 0; i < 200; ++i)
+    now = fx.ftl->write((i * 7) % 96, 1, true, now).done;
+  now = fx.ftl->write(512, 8, true, now).done;
+  const std::string first = save(*fx.ftl);
+  SubFixture restored;
+  load(*restored.ftl, first);
+  EXPECT_EQ(save(*restored.ftl), first);
+  EXPECT_EQ(restored.ftl->subpage_mapping_entries(),
+            fx.ftl->subpage_mapping_entries());
+}
+
+TEST(SubFtl, LoadStateRejectsVersionBeyond31Bits) {
+  SubFixture fx;
+  fx.ftl->write(5, 1, true, 0.0);
+  const std::string bytes = save(*fx.ftl);
+  // v1 tail: u64 count, one u32 version per sector, then f64 last scan,
+  // u32 writes-since-WL and one bool byte.
+  const std::size_t sectors = 2048;
+  const std::size_t versions = bytes.size() - 13 - 4 * sectors;
+  std::uint64_t count = 0;
+  std::memcpy(&count, bytes.data() + versions - 8, 8);
+  ASSERT_EQ(count, sectors);
+  auto version_at = [&](const std::string& b, std::size_t sector) {
+    std::uint32_t v = 0;
+    std::memcpy(&v, b.data() + versions + 4 * sector, 4);
+    return v;
+  };
+  ASSERT_EQ(version_at(bytes, 5), 1u);
+  auto with_version = [&](std::uint32_t v) {
+    std::string b = bytes;
+    std::memcpy(b.data() + versions + 4 * 5, &v, 4);
+    return b;
+  };
+  SubFixture widest;
+  EXPECT_NO_THROW(load(*widest.ftl, with_version((1u << 31) - 1)));
+  SubFixture too_wide;
+  EXPECT_THROW(load(*too_wide.ftl, with_version(1u << 31)),
+               std::runtime_error);
 }
 
 }  // namespace
