@@ -113,6 +113,55 @@ void BM_DeviceSubpageProgram(benchmark::State& state) {
 }
 BENCHMARK(BM_DeviceSubpageProgram);
 
+// Device slot-store rows. Random full-page reads over a prod-geometry
+// device whose every page holds a full-page program (all slots stored, so
+// each read runs the retention verdict for every slot): the device state
+// (about 270 MiB) far exceeds the CPU caches, as in mixed-prod's
+// read-modify-write path.
+void BM_DeviceReadPage(benchmark::State& state) {
+  const nand::Geometry geo = nand::prod_geometry();
+  nand::NandDevice dev(geo);
+  const nand::AddressCodec codec(geo);
+  std::vector<std::uint64_t> tokens(geo.subpages_per_page);
+  const std::uint64_t pages = geo.total_pages();
+  for (std::uint64_t p = 0; p < pages; ++p) {
+    for (std::uint32_t s = 0; s < geo.subpages_per_page; ++s)
+      tokens[s] = p * geo.subpages_per_page + s;
+    dev.program_full(codec.decode_page(p), tokens, 0.0);
+  }
+  util::Xoshiro256 rng(8);
+  for (auto _ : state) {
+    const auto ack = dev.read_page(codec.decode_page(rng.below(pages)), 1.0);
+    benchmark::DoNotOptimize(ack.token[0]);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DeviceReadPage);
+
+// Programs one block page by page with full-page programs, then erases
+// it; successive iterations walk the blocks of a prod-geometry device.
+// Items are pages programmed.
+void BM_DeviceProgramErase(benchmark::State& state) {
+  const nand::Geometry geo = nand::prod_geometry();
+  nand::NandDevice dev(geo);
+  std::vector<std::uint64_t> tokens(geo.subpages_per_page, 1);
+  const std::uint64_t blocks = geo.total_blocks();
+  std::uint64_t next = 0;
+  SimTime now = 0.0;
+  for (auto _ : state) {
+    const auto chip = static_cast<std::uint32_t>(next / geo.blocks_per_chip);
+    const auto blk = static_cast<std::uint32_t>(next % geo.blocks_per_chip);
+    next = (next + 1) % blocks;
+    for (std::uint32_t page = 0; page < geo.pages_per_block; ++page)
+      now = dev.program_full(nand::PageAddr{chip, blk, page}, tokens, now)
+                .done;
+    now = dev.erase_block(chip, blk, now).done;
+    benchmark::DoNotOptimize(now);
+  }
+  state.SetItemsProcessed(state.iterations() * geo.pages_per_block);
+}
+BENCHMARK(BM_DeviceProgramErase);
+
 void BM_SsdSyncSmallWrite(benchmark::State& state) {
   core::SsdConfig cfg;
   nand::Geometry geo;

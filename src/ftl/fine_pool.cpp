@@ -53,7 +53,7 @@ bool FinePool::ensure_active(std::uint32_t* chip_out, SimTime now) {
       }
       m.active = false;
       push_victim_candidate(block_index(chip, *active));
-      wear_index_.push(dev_.block(chip, *active).pe_cycles(),
+      wear_index_.push(dev_.pe_cycles(chip, *active),
                        block_index(chip, *active));
       active.reset();
     }
@@ -69,7 +69,7 @@ bool FinePool::ensure_active(std::uint32_t* chip_out, SimTime now) {
     ++blocks_in_use_;
     if (sink_)
       sink_->record_block({telemetry::BlockEventKind::kAllocated, chip, *blk,
-                           "fine", 0, 0, dev_.block(chip, *blk).pe_cycles(),
+                           "fine", 0, 0, dev_.pe_cycles(chip, *blk),
                            now});
     *chip_out = chip;
     rr_chip_ = (chip + 1) % geo_.total_chips();
@@ -237,7 +237,7 @@ SimTime FinePool::collect_block(std::size_t idx, SimTime now,
                                              : telemetry::OpKind::kGcCopy;
     if (sink_->wants_op(copy_kind))
       sink_->record_op({copy_kind, now, ack.done, copied, evicted});
-    const std::uint32_t pe = dev_.block(chip, blk).pe_cycles();
+    const std::uint32_t pe = dev_.pe_cycles(chip, blk);
     sink_->record_block({telemetry::BlockEventKind::kErased, chip, blk,
                          "fine", 0, victim.valid_count, pe, ack.done});
     sink_->record_block({telemetry::BlockEventKind::kRetired, chip, blk,
@@ -246,7 +246,7 @@ SimTime FinePool::collect_block(std::size_t idx, SimTime now,
   victim.owned = false;
   retire_meta_arrays(victim);
   --blocks_in_use_;
-  allocator_.release(chip, blk, dev_.block(chip, blk).pe_cycles());
+  allocator_.release(chip, blk, dev_.pe_cycles(chip, blk));
   return ack.done;
 }
 
@@ -267,7 +267,7 @@ SimTime FinePool::static_wear_level(SimTime now,
         const BlockMeta& m = meta_[idx];
         if (!m.owned || m.active || m.next_page < geo_.pages_per_block)
           continue;
-        const std::uint32_t pe = dev_.block(chip, blk).pe_cycles();
+        const std::uint32_t pe = dev_.pe_cycles(chip, blk);
         if (pe < coldest_pe) {
           coldest_pe = pe;
           coldest = idx;
@@ -281,7 +281,7 @@ SimTime FinePool::static_wear_level(SimTime now,
         return false;
       const auto chip = static_cast<std::uint32_t>(idx / geo_.blocks_per_chip);
       const auto blk = static_cast<std::uint32_t>(idx % geo_.blocks_per_chip);
-      return dev_.block(chip, blk).pe_cycles() == pe;
+      return dev_.pe_cycles(chip, blk) == pe;
     });
     if (top) {
       coldest = top->idx;

@@ -60,7 +60,7 @@ bool FullPagePool::ensure_active_on(std::uint32_t chip, SimTime now) {
     if (m.next_page < geo_.pages_per_block) return true;
     m.active = false;  // full: retire from active duty, becomes collectable
     push_victim_candidate(block_index(chip, *active));
-    wear_index_.push(dev_.block(chip, *active).pe_cycles(),
+    wear_index_.push(dev_.pe_cycles(chip, *active),
                      block_index(chip, *active));
     active.reset();
   }
@@ -77,7 +77,7 @@ bool FullPagePool::ensure_active_on(std::uint32_t chip, SimTime now) {
   ++blocks_in_use_;
   if (sink_)
     sink_->record_block({telemetry::BlockEventKind::kAllocated, chip, *blk,
-                         "full", 0, 0, dev_.block(chip, *blk).pe_cycles(),
+                         "full", 0, 0, dev_.pe_cycles(chip, *blk),
                          now});
   return true;
 }
@@ -261,7 +261,7 @@ SimTime FullPagePool::collect_block(std::size_t idx, SimTime now,
                                              : telemetry::OpKind::kGcCopy;
     if (sink_->wants_op(copy_kind))
       sink_->record_op({copy_kind, collect_start, ack.done, moved_sectors});
-    const std::uint32_t pe = dev_.block(chip, blk).pe_cycles();
+    const std::uint32_t pe = dev_.pe_cycles(chip, blk);
     sink_->record_block({telemetry::BlockEventKind::kErased, chip, blk,
                          "full", 0, victim.valid_count, pe, ack.done});
     sink_->record_block({telemetry::BlockEventKind::kRetired, chip, blk,
@@ -275,7 +275,7 @@ SimTime FullPagePool::collect_block(std::size_t idx, SimTime now,
   index_remove(chip, blk);
   retire_meta_arrays(victim);
   --blocks_in_use_;
-  allocator_.release(chip, blk, dev_.block(chip, blk).pe_cycles());
+  allocator_.release(chip, blk, dev_.pe_cycles(chip, blk));
   return ack.done;
 }
 
@@ -298,7 +298,7 @@ SimTime FullPagePool::static_wear_level(SimTime now,
         const BlockMeta& m = meta_[idx];
         if (!m.owned || m.active || m.next_page < geo_.pages_per_block)
           continue;
-        const std::uint32_t pe = dev_.block(chip, blk).pe_cycles();
+        const std::uint32_t pe = dev_.pe_cycles(chip, blk);
         if (pe < coldest_pe) {
           coldest_pe = pe;
           coldest = idx;
@@ -312,7 +312,7 @@ SimTime FullPagePool::static_wear_level(SimTime now,
         return false;
       const auto chip = static_cast<std::uint32_t>(idx / geo_.blocks_per_chip);
       const auto blk = static_cast<std::uint32_t>(idx % geo_.blocks_per_chip);
-      return dev_.block(chip, blk).pe_cycles() == pe;
+      return dev_.pe_cycles(chip, blk) == pe;
     });
     if (top) {
       coldest = top->idx;
@@ -329,7 +329,7 @@ std::vector<std::uint32_t> FullPagePool::owned_pe_cycles() const {
   for (std::uint32_t chip = 0; chip < geo_.total_chips(); ++chip) {
     pes.reserve(pes.size() + owned_by_chip_[chip].size());
     for (const std::uint32_t blk : owned_by_chip_[chip])
-      pes.push_back(dev_.block(chip, blk).pe_cycles());
+      pes.push_back(dev_.pe_cycles(chip, blk));
   }
   return pes;
 }

@@ -241,9 +241,10 @@ SimTime SubFtl::evict_batch(std::span<const SectorWrite> batch, SimTime now,
   // Gather before use (util/prefetch.h): every line the merge loop below
   // touches is a likely DRAM miss at prod geometry, and each level depends
   // on the one before. Hint the batch's sector records and L2P entries,
-  // then the old full pages' device Block objects and pool metadata, then
-  // their slot state and reverse-map entries -- so each level's misses
-  // overlap across the batch instead of serializing per logical page.
+  // then the old full pages' device slots (addressed directly) and pool
+  // block metadata, then their reverse-map entries -- so each level's
+  // misses overlap across the batch instead of serializing per logical
+  // page.
   for (const SectorWrite& sw : sorted) {
     util::prefetch(&sectors_[sw.sector]);
     util::prefetch(&l2p_[sw.sector / subs]);
@@ -254,14 +255,12 @@ SimTime SubFtl::evict_batch(std::span<const SectorWrite> batch, SimTime now,
     if (k > 0 && sorted[k - 1].sector / subs == lpn) continue;
     if (l2p_[lpn] == nand::kUnmapped) continue;
     const nand::PageAddr old = codec_.decode_page(l2p_[lpn]);
-    dev_.prefetch_block(old.chip, old.block);
+    dev_.prefetch_page(old);
     pool_full_.prefetch_block_meta(old);
     evict_old_pages_.push_back(old);
   }
-  for (const nand::PageAddr& old : evict_old_pages_) {
-    dev_.prefetch_page(old);
+  for (const nand::PageAddr& old : evict_old_pages_)
     pool_full_.prefetch_page_meta(old);
-  }
   SimTime done = now;
   std::size_t i = 0;
   std::array<std::uint64_t, nand::kMaxSubpagesPerPage> buf;

@@ -49,7 +49,7 @@ void SubpagePool::note_sealed(std::size_t idx) {
   const BlockMeta& m = meta_[idx];
   const auto chip = static_cast<std::uint32_t>(idx / geo_.blocks_per_chip);
   const auto blk = static_cast<std::uint32_t>(idx % geo_.blocks_per_chip);
-  wear_index_.push(dev_.block(chip, blk).pe_cycles(), idx);
+  wear_index_.push(dev_.pe_cycles(chip, blk), idx);
   if (m.valid_count == 0) note_idle_candidate(idx);
 }
 
@@ -163,7 +163,7 @@ bool SubpagePool::acquire_slot(std::uint32_t chip, SimTime& t,
         if (sink_)
           sink_->record_block({telemetry::BlockEventKind::kAllocated, chip,
                                *fresh, "sub", 0, 0,
-                               dev_.block(chip, *fresh).pe_cycles(), t});
+                               dev_.pe_cycles(chip, *fresh), t});
         continue;
       }
     }
@@ -196,7 +196,7 @@ bool SubpagePool::acquire_slot(std::uint32_t chip, SimTime& t,
     if (sink_)
       sink_->record_block({telemetry::BlockEventKind::kLevelAdvanced, chip,
                            *best, "sub", m.level, m.valid_count,
-                           dev_.block(chip, *best).pe_cycles(), t});
+                           dev_.pe_cycles(chip, *best), t});
   }
 }
 
@@ -273,9 +273,7 @@ void SubpagePool::invalidate(std::uint64_t sub_lin) {
     throw std::logic_error("SubpagePool::invalidate: page not valid");
   // Guard against stale pointers: the live copy must be the page's latest
   // programmed slot.
-  const auto programmed =
-      dev_.block(addr.page.chip, addr.page.block)
-          .slots_programmed(addr.page.page);
+  const auto programmed = dev_.slots_programmed(addr.page);
   if (addr.slot + 1 != programmed)
     throw std::logic_error(
         "SubpagePool::invalidate: address does not match live slot");
@@ -339,7 +337,8 @@ SimTime SubpagePool::collect_block(std::size_t idx, SimTime now,
   for (std::uint32_t page = 0; page < geo_.pages_per_block; ++page) {
     if (!victim.page_valid(page)) continue;
     const std::uint64_t sector = victim.sector_of_page[page];
-    const auto live_slot = dev_.block(chip, blk).slots_programmed(page) - 1;
+    const auto live_slot =
+        dev_.slots_programmed(nand::PageAddr{chip, blk, page}) - 1;
     const auto read = dev_.read_subpage(
         nand::SubpageAddr{nand::PageAddr{chip, blk, page}, live_slot}, t);
     ++stats_.flash_reads;
@@ -375,7 +374,7 @@ SimTime SubpagePool::collect_block(std::size_t idx, SimTime now,
   const auto ack = dev_.erase_block(chip, blk, t);
   ++stats_.flash_erases;
   if (sink_) {
-    const std::uint32_t pe = dev_.block(chip, blk).pe_cycles();
+    const std::uint32_t pe = dev_.pe_cycles(chip, blk);
     sink_->record_block({telemetry::BlockEventKind::kErased, chip, blk, "sub",
                          victim.level, victim.valid_count, pe, ack.done});
     sink_->record_block({telemetry::BlockEventKind::kRetired, chip, blk,
@@ -386,7 +385,7 @@ SimTime SubpagePool::collect_block(std::size_t idx, SimTime now,
   victim.active = false;
   retire_meta_arrays(victim);
   --blocks_in_use_;
-  allocator_.release(chip, blk, dev_.block(chip, blk).pe_cycles());
+  allocator_.release(chip, blk, dev_.pe_cycles(chip, blk));
   in_gc_ = false;
   if (sink_) {
     const auto copy_kind = for_wear_leveling ? telemetry::OpKind::kWearLevel
@@ -415,7 +414,7 @@ SimTime SubpagePool::release_idle_block(std::uint32_t chip, std::uint32_t b,
   const auto ack = dev_.erase_block(chip, b, now);
   ++stats_.flash_erases;
   if (sink_) {
-    const std::uint32_t pe = dev_.block(chip, b).pe_cycles();
+    const std::uint32_t pe = dev_.pe_cycles(chip, b);
     sink_->record_block({telemetry::BlockEventKind::kErased, chip, b, "sub",
                          m.level, 0, pe, ack.done});
     sink_->record_block({telemetry::BlockEventKind::kRetired, chip, b, "sub",
@@ -425,7 +424,7 @@ SimTime SubpagePool::release_idle_block(std::uint32_t chip, std::uint32_t b,
   index_remove(chip, b);
   retire_meta_arrays(m);
   --blocks_in_use_;
-  allocator_.release(chip, b, dev_.block(chip, b).pe_cycles());
+  allocator_.release(chip, b, dev_.pe_cycles(chip, b));
   return ack.done;
 }
 
@@ -484,7 +483,7 @@ SimTime SubpagePool::static_wear_level(SimTime now,
       for (const std::uint32_t b : owned_by_chip_[chip]) {
         const std::size_t idx = block_index(chip, b);
         if (meta_[idx].active) continue;
-        const std::uint32_t pe = dev_.block(chip, b).pe_cycles();
+        const std::uint32_t pe = dev_.pe_cycles(chip, b);
         if (pe < coldest_pe) {
           coldest_pe = pe;
           coldest = idx;
@@ -497,7 +496,7 @@ SimTime SubpagePool::static_wear_level(SimTime now,
       if (!m.owned || m.active) return false;
       const auto chip = static_cast<std::uint32_t>(idx / geo_.blocks_per_chip);
       const auto blk = static_cast<std::uint32_t>(idx % geo_.blocks_per_chip);
-      return dev_.block(chip, blk).pe_cycles() == pe;
+      return dev_.pe_cycles(chip, blk) == pe;
     });
     if (top) {
       coldest = top->idx;
@@ -518,7 +517,8 @@ SimTime SubpagePool::retention_evict_pages(std::uint32_t chip, std::uint32_t b,
   for (const std::uint32_t page : pages) {
     if (!m.page_valid(page)) continue;  // duplicate queue entries
     const std::uint64_t sector = m.sector_of_page[page];
-    const auto live_slot = dev_.block(chip, b).slots_programmed(page) - 1;
+    const auto live_slot =
+        dev_.slots_programmed(nand::PageAddr{chip, b, page}) - 1;
     const auto read = dev_.read_subpage(
         nand::SubpageAddr{nand::PageAddr{chip, b, page}, live_slot}, t);
     ++stats_.flash_reads;
@@ -609,14 +609,7 @@ SimTime SubpagePool::retention_scan_indexed(SimTime now) {
                                                 : a.page < b.page;
             });
   // The eviction loop reads every surviving page's live slot: hint the
-  // device blocks, then their pages, ahead of it.
-  for (std::size_t i = 0; i < retention_expired_.size(); ++i) {
-    const std::size_t idx = retention_expired_[i].block_idx;
-    if (i == 0 || retention_expired_[i - 1].block_idx != idx)
-      dev_.prefetch_block(
-          static_cast<std::uint32_t>(idx / geo_.blocks_per_chip),
-          static_cast<std::uint32_t>(idx % geo_.blocks_per_chip));
-  }
+  // device pages ahead of it.
   for (const auto& e : retention_expired_)
     dev_.prefetch_page(nand::PageAddr{
         static_cast<std::uint32_t>(e.block_idx / geo_.blocks_per_chip),
@@ -643,7 +636,7 @@ std::vector<std::uint32_t> SubpagePool::owned_pe_cycles() const {
   for (std::uint32_t chip = 0; chip < geo_.total_chips(); ++chip) {
     pes.reserve(pes.size() + owned_by_chip_[chip].size());
     for (const std::uint32_t b : owned_by_chip_[chip])
-      pes.push_back(dev_.block(chip, b).pe_cycles());
+      pes.push_back(dev_.pe_cycles(chip, b));
   }
   return pes;
 }

@@ -21,7 +21,7 @@ WearSummary measure_wear(const nand::NandDevice& dev) {
   util::RunningStats stats;
   for (std::uint32_t chip = 0; chip < geo.total_chips(); ++chip)
     for (std::uint32_t blk = 0; blk < geo.blocks_per_chip; ++blk)
-      stats.add(static_cast<double>(dev.block(chip, blk).pe_cycles()));
+      stats.add(static_cast<double>(dev.pe_cycles(chip, blk)));
 
   WearSummary summary;
   summary.min_pe = static_cast<std::uint32_t>(stats.min());

@@ -8,35 +8,29 @@
 
 namespace esp::nand {
 
+namespace {
+
+const Geometry& validated(const Geometry& geo) {
+  geo.validate();
+  return geo;
+}
+
+}  // namespace
+
 NandDevice::NandDevice(const Geometry& geo, const TimingSpec& timing,
                        const RetentionModel& retention)
-    : geo_(geo),
+    : geo_(validated(geo)),
       timing_(timing),
       retention_(retention),
+      slots_(geo_.total_blocks(), geo_.pages_per_block,
+             geo_.subpages_per_page),
       channel_busy_until_(geo.channels, 0.0),
       chip_busy_until_(geo.total_chips(), 0.0),
       chip_busy_accum_(geo.total_chips(), 0.0),
-      channel_busy_accum_(geo.channels, 0.0) {
-  geo_.validate();
-  blocks_.reserve(static_cast<std::size_t>(geo_.total_chips()) *
-                  geo_.blocks_per_chip);
-  for (std::uint32_t c = 0; c < geo_.total_chips(); ++c)
-    for (std::uint32_t b = 0; b < geo_.blocks_per_chip; ++b)
-      blocks_.emplace_back(geo_.pages_per_block, geo_.subpages_per_page);
-}
+      channel_busy_accum_(geo.channels, 0.0) {}
 
-Block& NandDevice::block_ref(std::uint32_t chip, std::uint32_t blk) {
-  const std::size_t i = flat_block(chip, blk);
-  if (i == blocks_.size())
-    throw std::out_of_range("NandDevice: chip/block out of range");
-  return blocks_[i];
-}
-
-const Block& NandDevice::block(std::uint32_t chip, std::uint32_t blk) const {
-  const std::size_t i = flat_block(chip, blk);
-  if (i == blocks_.size())
-    throw std::out_of_range("NandDevice: chip/block out of range");
-  return blocks_[i];
+void NandDevice::throw_bad_block() {
+  throw std::out_of_range("NandDevice: chip/block out of range");
 }
 
 SimTime NandDevice::schedule(std::uint32_t chip, SimTime array_us,
@@ -66,8 +60,8 @@ SimTime NandDevice::schedule(std::uint32_t chip, SimTime array_us,
 OpAck NandDevice::program_full(const PageAddr& addr,
                                std::span<const std::uint64_t> tokens,
                                SimTime now) {
-  Block& blk = block_ref(addr.chip, addr.block);
-  blk.program_full(addr.page, tokens, now);
+  slots_.program_full(block_index(addr.chip, addr.block), addr.page, tokens,
+                      now);
   ++counters_.progs_full;
   OpAck ack{schedule(addr.chip, timing_.prog_full_us, geo_.page_bytes,
                      /*transfer_first=*/true, now)};
@@ -79,8 +73,8 @@ OpAck NandDevice::program_full(const PageAddr& addr,
 
 OpAck NandDevice::program_subpage(const SubpageAddr& addr, std::uint64_t token,
                                   SimTime now) {
-  Block& blk = block_ref(addr.page.chip, addr.page.block);
-  blk.program_subpage(addr.page.page, addr.slot, token, now);
+  slots_.program_subpage(block_index(addr.page.chip, addr.page.block),
+                         addr.page.page, addr.slot, token, now);
   ++counters_.progs_sub;
   OpAck ack{schedule(addr.page.chip, timing_.prog_sub_us,
                      geo_.subpage_bytes(), /*transfer_first=*/true, now)};
@@ -90,9 +84,17 @@ OpAck NandDevice::program_subpage(const SubpageAddr& addr, std::uint64_t token,
   return ack;
 }
 
-ReadStatus NandDevice::verdict(const Block& blk, std::uint32_t page,
-                               const SlotView& view, SimTime now) {
-  switch (view.state) {
+SimTime NandDevice::stored_horizon(PageState ps, std::uint32_t pe) const {
+  if (reliability_mode_ != ReliabilityMode::kDeterministic || ps.count() == 0)
+    return 0.0;
+  return ps.full() ? retention_.fullpage_horizon(pe)
+                   : retention_.subpage_horizon(ps.npp(ps.count() - 1), pe);
+}
+
+ReadStatus NandDevice::verdict(PageState ps, std::uint32_t slot,
+                               SimTime written_at, std::uint32_t pe,
+                               SimTime horizon, SimTime now) {
+  switch (ps.state(slot)) {
     case SlotState::kEmpty:
       return ReadStatus::kEmpty;
     case SlotState::kCorrupted:
@@ -101,12 +103,8 @@ ReadStatus NandDevice::verdict(const Block& blk, std::uint32_t page,
     case SlotState::kStored:
       break;
   }
-  const SimTime age = now - view.written_at;
+  const SimTime age = now - written_at;
   if (reliability_mode_ == ReliabilityMode::kDeterministic) {
-    const SimTime horizon =
-        blk.page_mode(page) == PageMode::kFull
-            ? retention_.fullpage_horizon(blk.pe_cycles())
-            : retention_.subpage_horizon(view.npp, blk.pe_cycles());
     if (age > horizon) {
       ++counters_.uncorrectable_reads;
       return ReadStatus::kUncorrectable;
@@ -117,9 +115,8 @@ ReadStatus NandDevice::verdict(const Block& blk, std::uint32_t page,
     // draw each of the subpage's codewords from the binomial tail.
     const double months = age / sim_time::kMonth;
     const double norm_ber =
-        blk.page_mode(page) == PageMode::kFull
-            ? retention_.fullpage_ber(months, blk.pe_cycles())
-            : retention_.subpage_ber(view.npp, months, blk.pe_cycles());
+        ps.full() ? retention_.fullpage_ber(months, pe)
+                  : retention_.subpage_ber(ps.npp(slot), months, pe);
     const double raw_ber = norm_ber * ecc_.spec().max_raw_ber() /
                            retention_.params().ecc_limit;
     const double p_codeword = ecc_.uncorrectable_probability(raw_ber);
@@ -139,10 +136,16 @@ ReadStatus NandDevice::verdict(const Block& blk, std::uint32_t page,
 }
 
 ReadAck NandDevice::read_subpage(const SubpageAddr& addr, SimTime now) {
-  const Block& blk = block(addr.page.chip, addr.page.block);
+  const std::size_t b = block_index(addr.page.chip, addr.page.block);
+  const SlotView view = slots_.slot(b, addr.page.page, addr.slot);
+  const PageState ps = slots_.page_state(b, addr.page.page);
+  const std::uint32_t pe = slots_.pe_cycles(b);
   ReadAck ack;
-  const SlotView view = blk.slot(addr.page.page, addr.slot);
-  ack.status = verdict(blk, addr.page.page, view, now);
+  ack.status = verdict(ps, addr.slot, view.written_at, pe,
+                       view.state == SlotState::kStored
+                           ? stored_horizon(ps, pe)
+                           : 0.0,
+                       now);
   ack.token = view.token;
   ++counters_.reads_sub;
   ack.done = schedule(addr.page.chip, timing_.read_sub_us,
@@ -154,12 +157,19 @@ ReadAck NandDevice::read_subpage(const SubpageAddr& addr, SimTime now) {
 }
 
 PageReadAck NandDevice::read_page(const PageAddr& addr, SimTime now) {
-  const Block& blk = block(addr.chip, addr.block);
+  // One page read loads the block header, the page's state byte and its
+  // slot records once; every slot's verdict derives from those.
+  const std::size_t b = block_index(addr.chip, addr.block);
+  const PageState ps = slots_.page_state(b, addr.page);
+  const SlotRecord* rec = slots_.records(b, addr.page);
+  const std::uint32_t pe = slots_.pe_cycles(b);
+  const SimTime horizon = stored_horizon(ps, pe);
   PageReadAck ack;
   for (std::uint32_t s = 0; s < geo_.subpages_per_page; ++s) {
-    const SlotView view = blk.slot(addr.page, s);
-    ack.status[s] = verdict(blk, addr.page, view, now);
-    ack.token[s] = view.token;
+    const bool live = ps.programmed(s);
+    ack.status[s] =
+        verdict(ps, s, live ? rec[s].written_at : 0.0, pe, horizon, now);
+    ack.token[s] = live ? rec[s].token : 0;
   }
   ++counters_.reads_full;
   ack.done = schedule(addr.chip, timing_.read_full_us, geo_.page_bytes,
@@ -174,13 +184,12 @@ OpAck NandDevice::copyback(const PageAddr& src, const PageAddr& dst,
                            SimTime now) {
   if (src.chip != dst.chip)
     throw std::logic_error("NandDevice::copyback: pages must share a chip");
-  const Block& src_blk = block(src.chip, src.block);
+  const std::size_t src_blk = block_index(src.chip, src.block);
   std::array<std::uint64_t, kMaxSubpagesPerPage> buf;
   const std::span<std::uint64_t> tokens(buf.data(), geo_.subpages_per_page);
   for (std::uint32_t s = 0; s < geo_.subpages_per_page; ++s)
-    tokens[s] = src_blk.slot(src.page, s).token;
-  Block& dst_blk = block_ref(dst.chip, dst.block);
-  dst_blk.program_full(dst.page, tokens, now);
+    tokens[s] = slots_.slot(src_blk, src.page, s).token;
+  slots_.program_full(block_index(dst.chip, dst.block), dst.page, tokens, now);
   ++counters_.reads_full;
   ++counters_.progs_full;
   // Chip busy for sense + program; only command overhead on the channel.
@@ -194,15 +203,16 @@ OpAck NandDevice::copyback(const PageAddr& src, const PageAddr& dst,
 
 OpAck NandDevice::erase_block(std::uint32_t chip, std::uint32_t block,
                               SimTime now) {
-  Block& blk = block_ref(chip, block);
-  blk.erase();
+  const std::size_t b = block_index(chip, block);
+  slots_.erase(b);
   ++counters_.erases;
-  max_pe_cycles_ = std::max(max_pe_cycles_, blk.pe_cycles());
+  const std::uint32_t pe = slots_.pe_cycles(b);
+  max_pe_cycles_ = std::max(max_pe_cycles_, pe);
   OpAck ack{schedule(chip, timing_.erase_us, /*xfer_bytes=*/0,
                      /*transfer_first=*/true, now)};
   if (sink_)
-    sink_->record_op({telemetry::OpKind::kErase, now, ack.done,
-                      blk.pe_cycles(), 0, chip, block});
+    sink_->record_op({telemetry::OpKind::kErase, now, ack.done, pe, 0, chip,
+                      block});
   return ack;
 }
 
@@ -221,28 +231,27 @@ void NandDevice::set_telemetry(telemetry::Sink* sink) {
 
 void NandDevice::fill_block_health(
     std::span<telemetry::BlockHealth> out) const {
-  const std::size_t n = std::min(out.size(), blocks_.size());
+  const std::size_t n = std::min(out.size(), slots_.blocks());
   for (std::size_t i = 0; i < n; ++i) {
-    const Block& blk = blocks_[i];
-    out[i].pe = blk.pe_cycles();
-    out[i].programmed_pages = blk.programmed_pages();
-    out[i].first_program_us = blk.first_program_us();
+    out[i].pe = slots_.pe_cycles(i);
+    out[i].programmed_pages = slots_.programmed_pages(i);
+    out[i].first_program_us = slots_.first_program_us(i);
   }
 }
 
 void NandDevice::apply_synthetic_wear(std::uint32_t chip, std::uint32_t block,
                                       std::uint32_t cycles) {
   if (cycles == 0) return;
-  Block& blk = block_ref(chip, block);
-  blk.add_wear(cycles);
+  const std::size_t b = block_index(chip, block);
+  slots_.add_wear(b, cycles);
   synthetic_erases_ += cycles;
-  max_pe_cycles_ = std::max(max_pe_cycles_, blk.pe_cycles());
+  max_pe_cycles_ = std::max(max_pe_cycles_, slots_.pe_cycles(b));
 }
 
 void NandDevice::save_state(util::StateWriter& w) const {
   w.tag("NAND");
-  w.u64(blocks_.size());
-  for (const Block& blk : blocks_) blk.save_state(w);
+  w.u64(slots_.blocks());
+  for (std::size_t b = 0; b < slots_.blocks(); ++b) slots_.save_block(b, w);
   w.pod_vec(channel_busy_until_);
   w.pod_vec(chip_busy_until_);
   w.pod_vec(chip_busy_accum_);
@@ -264,9 +273,9 @@ void NandDevice::save_state(util::StateWriter& w) const {
 
 void NandDevice::load_state(util::StateReader& r) {
   r.tag("NAND");
-  if (r.u64() != blocks_.size())
+  if (r.u64() != slots_.blocks())
     throw std::runtime_error("NandDevice::load_state: geometry mismatch");
-  for (Block& blk : blocks_) blk.load_state(r);
+  for (std::size_t b = 0; b < slots_.blocks(); ++b) slots_.load_block(b, r);
   r.pod_vec(channel_busy_until_);
   r.pod_vec(chip_busy_until_);
   r.pod_vec(chip_busy_accum_);

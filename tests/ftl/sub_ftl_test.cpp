@@ -123,7 +123,8 @@ TEST(SubFtl, EspWritingPolicyFillsSlotZeroFirst) {
   for (std::uint32_t chip = 0; chip < geo.total_chips(); ++chip)
     for (std::uint32_t blk = 0; blk < geo.blocks_per_chip; ++blk)
       for (std::uint32_t page = 0; page < geo.pages_per_block; ++page)
-        EXPECT_LE(fx.dev.block(chip, blk).slots_programmed(page), 1u);
+        EXPECT_LE(fx.dev.slots_programmed(nand::PageAddr{chip, blk, page}),
+                  1u);
 }
 
 TEST(SubFtl, SubpageChurnStaysInRegionWithWafOne) {

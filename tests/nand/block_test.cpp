@@ -1,6 +1,7 @@
 // Unit tests for the ESP block state machine -- the physics contract of
-// Sec. 3: sequential slot programming, destroy-previous, Npp tracking.
-#include "nand/block.h"
+// Sec. 3: sequential slot programming, destroy-previous, Npp tracking --
+// run against a one-block SlotStore.
+#include "nand/slot_store.h"
 
 #include <gtest/gtest.h>
 
@@ -12,24 +13,26 @@ namespace {
 constexpr std::uint32_t kPages = 8;
 constexpr std::uint32_t kSubs = 4;
 
-Block make_block() { return Block(kPages, kSubs); }
+constexpr std::size_t kBlk = 0;  // the store's only block
+
+SlotStore make_block() { return SlotStore(1, kPages, kSubs); }
 
 TEST(Block, StartsErased) {
-  Block blk = make_block();
-  EXPECT_TRUE(blk.is_erased());
-  EXPECT_EQ(blk.pe_cycles(), 0u);
-  EXPECT_EQ(blk.page_mode(0), PageMode::kErased);
-  EXPECT_EQ(blk.slot(0, 0).state, SlotState::kEmpty);
+  SlotStore blk = make_block();
+  EXPECT_TRUE(blk.is_erased(kBlk));
+  EXPECT_EQ(blk.pe_cycles(kBlk), 0u);
+  EXPECT_EQ(blk.page_mode(kBlk, 0), PageMode::kErased);
+  EXPECT_EQ(blk.slot(kBlk, 0, 0).state, SlotState::kEmpty);
 }
 
 TEST(Block, FullPageProgramStoresAllSlots) {
-  Block blk = make_block();
+  SlotStore blk = make_block();
   const std::array<std::uint64_t, kSubs> tokens{10, 20, 30, 40};
-  blk.program_full(2, tokens, 100.0);
-  EXPECT_EQ(blk.page_mode(2), PageMode::kFull);
-  EXPECT_EQ(blk.slots_programmed(2), kSubs);
+  blk.program_full(kBlk, 2, tokens, 100.0);
+  EXPECT_EQ(blk.page_mode(kBlk, 2), PageMode::kFull);
+  EXPECT_EQ(blk.slots_programmed(kBlk, 2), kSubs);
   for (std::uint32_t s = 0; s < kSubs; ++s) {
-    const auto view = blk.slot(2, s);
+    const auto view = blk.slot(kBlk, 2, s);
     EXPECT_EQ(view.state, SlotState::kStored);
     EXPECT_EQ(view.token, tokens[s]);
     EXPECT_EQ(view.npp, 0u);
@@ -38,109 +41,112 @@ TEST(Block, FullPageProgramStoresAllSlots) {
 }
 
 TEST(Block, FullPageProgramTwiceThrows) {
-  Block blk = make_block();
+  SlotStore blk = make_block();
   const std::array<std::uint64_t, kSubs> tokens{1, 2, 3, 4};
-  blk.program_full(0, tokens, 0.0);
-  EXPECT_THROW(blk.program_full(0, tokens, 1.0), std::logic_error);
+  blk.program_full(kBlk, 0, tokens, 0.0);
+  EXPECT_THROW(blk.program_full(kBlk, 0, tokens, 1.0), std::logic_error);
 }
 
 TEST(Block, FullProgramRejectsWrongTokenCount) {
-  Block blk = make_block();
+  SlotStore blk = make_block();
   const std::array<std::uint64_t, 2> wrong{1, 2};
-  EXPECT_THROW(blk.program_full(0, wrong, 0.0), std::logic_error);
+  EXPECT_THROW(blk.program_full(kBlk, 0, wrong, 0.0), std::logic_error);
 }
 
 TEST(Block, SubpageProgramSequence) {
-  Block blk = make_block();
-  blk.program_subpage(0, 0, 111, 1.0);
-  EXPECT_EQ(blk.page_mode(0), PageMode::kEsp);
-  EXPECT_EQ(blk.slots_programmed(0), 1u);
-  EXPECT_EQ(blk.slot(0, 0).state, SlotState::kStored);
-  EXPECT_EQ(blk.slot(0, 0).npp, 0u);
+  SlotStore blk = make_block();
+  blk.program_subpage(kBlk, 0, 0, 111, 1.0);
+  EXPECT_EQ(blk.page_mode(kBlk, 0), PageMode::kEsp);
+  EXPECT_EQ(blk.slots_programmed(kBlk, 0), 1u);
+  EXPECT_EQ(blk.slot(kBlk, 0, 0).state, SlotState::kStored);
+  EXPECT_EQ(blk.slot(kBlk, 0, 0).npp, 0u);
 }
 
 TEST(Block, SubpageOutOfOrderThrows) {
-  Block blk = make_block();
-  EXPECT_THROW(blk.program_subpage(0, 1, 5, 0.0), std::logic_error);
-  blk.program_subpage(0, 0, 5, 0.0);
-  EXPECT_THROW(blk.program_subpage(0, 2, 5, 0.0), std::logic_error);
-  EXPECT_THROW(blk.program_subpage(0, 0, 5, 0.0), std::logic_error);
+  SlotStore blk = make_block();
+  EXPECT_THROW(blk.program_subpage(kBlk, 0, 1, 5, 0.0), std::logic_error);
+  blk.program_subpage(kBlk, 0, 0, 5, 0.0);
+  EXPECT_THROW(blk.program_subpage(kBlk, 0, 2, 5, 0.0), std::logic_error);
+  EXPECT_THROW(blk.program_subpage(kBlk, 0, 0, 5, 0.0), std::logic_error);
 }
 
 TEST(Block, SubpageProgramDestroysEarlierSlots) {
   // Fig. 4: programming sp2 corrupts sp1's stored data.
-  Block blk = make_block();
-  blk.program_subpage(0, 0, 100, 1.0);
-  blk.program_subpage(0, 1, 200, 2.0);
-  EXPECT_EQ(blk.slot(0, 0).state, SlotState::kCorrupted);
-  EXPECT_EQ(blk.slot(0, 1).state, SlotState::kStored);
-  EXPECT_EQ(blk.slot(0, 1).token, 200u);
+  SlotStore blk = make_block();
+  blk.program_subpage(kBlk, 0, 0, 100, 1.0);
+  blk.program_subpage(kBlk, 0, 1, 200, 2.0);
+  EXPECT_EQ(blk.slot(kBlk, 0, 0).state, SlotState::kCorrupted);
+  EXPECT_EQ(blk.slot(kBlk, 0, 1).state, SlotState::kStored);
+  EXPECT_EQ(blk.slot(kBlk, 0, 1).token, 200u);
 }
 
 TEST(Block, NppTypeTracksPriorPrograms) {
   // The k-th programmed slot is an Npp^k-type subpage (Sec. 3.3).
-  Block blk = make_block();
+  SlotStore blk = make_block();
   for (std::uint32_t s = 0; s < kSubs; ++s)
-    blk.program_subpage(0, s, s, static_cast<SimTime>(s));
+    blk.program_subpage(kBlk, 0, s, s, static_cast<SimTime>(s));
   for (std::uint32_t s = 0; s < kSubs; ++s)
-    EXPECT_EQ(blk.slot(0, s).npp, s);
+    EXPECT_EQ(blk.slot(kBlk, 0, s).npp, s);
   // Only the last slot survives.
   for (std::uint32_t s = 0; s + 1 < kSubs; ++s)
-    EXPECT_EQ(blk.slot(0, s).state, SlotState::kCorrupted);
-  EXPECT_EQ(blk.slot(0, kSubs - 1).state, SlotState::kStored);
+    EXPECT_EQ(blk.slot(kBlk, 0, s).state, SlotState::kCorrupted);
+  EXPECT_EQ(blk.slot(kBlk, 0, kSubs - 1).state, SlotState::kStored);
 }
 
 TEST(Block, SubpageProgramLeavesOtherPagesAlone) {
-  Block blk = make_block();
-  blk.program_subpage(0, 0, 1, 0.0);
-  blk.program_subpage(1, 0, 2, 0.0);
-  blk.program_subpage(0, 1, 3, 0.0);
+  SlotStore blk = make_block();
+  blk.program_subpage(kBlk, 0, 0, 1, 0.0);
+  blk.program_subpage(kBlk, 1, 0, 2, 0.0);
+  blk.program_subpage(kBlk, 0, 1, 3, 0.0);
   // Page 1's slot 0 must be untouched by page 0's second program.
-  EXPECT_EQ(blk.slot(1, 0).state, SlotState::kStored);
-  EXPECT_EQ(blk.slot(1, 0).token, 2u);
+  EXPECT_EQ(blk.slot(kBlk, 1, 0).state, SlotState::kStored);
+  EXPECT_EQ(blk.slot(kBlk, 1, 0).token, 2u);
 }
 
 TEST(Block, MixedModesRejected) {
-  Block blk = make_block();
+  SlotStore blk = make_block();
   const std::array<std::uint64_t, kSubs> tokens{1, 2, 3, 4};
-  blk.program_full(0, tokens, 0.0);
-  EXPECT_THROW(blk.program_subpage(0, 0, 9, 1.0), std::logic_error);
-  blk.program_subpage(1, 0, 9, 1.0);
-  EXPECT_THROW(blk.program_full(1, tokens, 2.0), std::logic_error);
+  blk.program_full(kBlk, 0, tokens, 0.0);
+  EXPECT_THROW(blk.program_subpage(kBlk, 0, 0, 9, 1.0), std::logic_error);
+  blk.program_subpage(kBlk, 1, 0, 9, 1.0);
+  EXPECT_THROW(blk.program_full(kBlk, 1, tokens, 2.0), std::logic_error);
 }
 
 TEST(Block, EspPageExhaustsAfterAllSlots) {
-  Block blk = make_block();
-  for (std::uint32_t s = 0; s < kSubs; ++s) blk.program_subpage(0, s, s, 0.0);
-  EXPECT_THROW(blk.program_subpage(0, kSubs, 9, 0.0), std::out_of_range);
+  SlotStore blk = make_block();
+  for (std::uint32_t s = 0; s < kSubs; ++s)
+    blk.program_subpage(kBlk, 0, s, s, 0.0);
+  EXPECT_THROW(blk.program_subpage(kBlk, 0, kSubs, 9, 0.0),
+               std::out_of_range);
 }
 
 TEST(Block, EraseResetsEverythingAndCountsPe) {
-  Block blk = make_block();
+  SlotStore blk = make_block();
   const std::array<std::uint64_t, kSubs> tokens{1, 2, 3, 4};
-  blk.program_full(0, tokens, 0.0);
-  blk.program_subpage(1, 0, 7, 0.0);
-  blk.erase();
-  EXPECT_EQ(blk.pe_cycles(), 1u);
-  EXPECT_TRUE(blk.is_erased());
-  EXPECT_EQ(blk.page_mode(0), PageMode::kErased);
-  EXPECT_EQ(blk.slot(1, 0).state, SlotState::kEmpty);
+  blk.program_full(kBlk, 0, tokens, 0.0);
+  blk.program_subpage(kBlk, 1, 0, 7, 0.0);
+  blk.erase(kBlk);
+  EXPECT_EQ(blk.pe_cycles(kBlk), 1u);
+  EXPECT_TRUE(blk.is_erased(kBlk));
+  EXPECT_EQ(blk.page_mode(kBlk, 0), PageMode::kErased);
+  EXPECT_EQ(blk.slot(kBlk, 1, 0).state, SlotState::kEmpty);
   // Reusable after erase.
-  blk.program_subpage(0, 0, 42, 5.0);
-  EXPECT_EQ(blk.slot(0, 0).token, 42u);
+  blk.program_subpage(kBlk, 0, 0, 42, 5.0);
+  EXPECT_EQ(blk.slot(kBlk, 0, 0).token, 42u);
 }
 
 TEST(Block, OutOfRangeAccessesThrow) {
-  Block blk = make_block();
-  EXPECT_THROW(blk.slot(kPages, 0), std::out_of_range);
-  EXPECT_THROW(blk.slot(0, kSubs), std::out_of_range);
-  EXPECT_THROW(blk.program_subpage(kPages, 0, 1, 0.0), std::out_of_range);
+  SlotStore blk = make_block();
+  EXPECT_THROW(blk.slot(kBlk, kPages, 0), std::out_of_range);
+  EXPECT_THROW(blk.slot(kBlk, 0, kSubs), std::out_of_range);
+  EXPECT_THROW(blk.program_subpage(kBlk, kPages, 0, 1, 0.0), std::out_of_range);
 }
 
 TEST(Block, RejectsBadConstruction) {
-  EXPECT_THROW(Block(0, 4), std::invalid_argument);
-  EXPECT_THROW(Block(8, 0), std::invalid_argument);
-  EXPECT_THROW(Block(8, kMaxSubpagesPerPage + 1), std::invalid_argument);
+  EXPECT_THROW(SlotStore(1, 0, 4), std::invalid_argument);
+  EXPECT_THROW(SlotStore(1, 8, 0), std::invalid_argument);
+  EXPECT_THROW(SlotStore(1, 8, kMaxSubpagesPerPage + 1),
+               std::invalid_argument);
 }
 
 }  // namespace
