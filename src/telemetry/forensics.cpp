@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 #include "telemetry/metrics.h"
@@ -125,16 +126,8 @@ void ForensicsCollector::begin_request(std::uint32_t id, SimTime arrival,
   blocks_touched_ = 0;
 }
 
-void ForensicsCollector::note_chain(std::span<const CauseFrame> chain) {
-  // Distinct cause chains, deduped by a cheap fold of the cause bytes
-  // (chains are <= ~4 frames deep; the string is only built once per
-  // distinct fingerprint per request).
-  if (chain.empty()) empty_chain_seen_ = true;
-  std::uint64_t fp = 0x9e3779b97f4a7c15ull;
-  for (const CauseFrame& frame : chain)
-    fp = (fp ^ static_cast<std::uint64_t>(frame.cause)) * 0x100000001b3ull;
-  for (std::size_t i = 0; i < chain_count_; ++i)
-    if (chain_fp_[i] == fp) return;
+void ForensicsCollector::add_chain(std::span<const CauseFrame> chain,
+                                   std::uint64_t fp) {
   if (chain_count_ < kMaxChains) {
     chain_fp_[chain_count_] = fp;
     std::string& s = chain_str_[chain_count_];
@@ -147,15 +140,6 @@ void ForensicsCollector::note_chain(std::span<const CauseFrame> chain) {
   } else {
     ++chains_dropped_;
   }
-}
-
-void ForensicsCollector::note_block(std::uint32_t chip, std::uint32_t block) {
-  // Touched physical blocks, first-contact order, bounded (the inline
-  // caller already rejected a repeat of the most recent contact).
-  for (const auto& b : blocks_)
-    if (b.first == chip && b.second == block) return;
-  ++blocks_touched_;
-  if (blocks_.size() < kMaxBlocks) blocks_.emplace_back(chip, block);
 }
 
 void ForensicsCollector::offer(std::vector<Exemplar>& heap, std::uint32_t k,
@@ -193,14 +177,29 @@ void ForensicsCollector::end_request(OpKind kind, SimTime done) {
   // Interval sweep over the request's flash ops, clipped to [issue, done):
   // the ops overlap in simulated time (chip parallelism), so each
   // elementary slice is charged to the highest-priority active phase.
-  // Single-op requests (most reads, unbuffered small writes) skip the
-  // sweep entirely -- one clipped interval IS its own decomposition.
-  if (segments_.size() == 1) {
-    const Segment& seg = segments_.front();
+  // Chained requests skip the sweep: when every clipped op starts no
+  // earlier than the previous one ended (single-op requests, an RMW read
+  // and its program), each op IS one slice of its own phase, and adding
+  // the ops in issue order performs exactly the sweep's additions.
+  bool chained = true;
+  SimTime last_end = -std::numeric_limits<SimTime>::infinity();
+  for (const Segment& seg : segments_) {
     const SimTime s = std::max(seg.start, cur_issue_);
     const SimTime e = std::min(seg.end, done);
-    if (e > s) b.us[static_cast<std::size_t>(seg.phase)] = e - s;
-  } else if (!segments_.empty()) {
+    if (e <= s) continue;
+    if (s < last_end) {
+      chained = false;
+      break;
+    }
+    last_end = e;
+  }
+  if (chained) {
+    for (const Segment& seg : segments_) {
+      const SimTime s = std::max(seg.start, cur_issue_);
+      const SimTime e = std::min(seg.end, done);
+      if (e > s) b.us[static_cast<std::size_t>(seg.phase)] += e - s;
+    }
+  } else {
     boundaries_.clear();
     for (const Segment& seg : segments_) {
       const SimTime s = std::max(seg.start, cur_issue_);
@@ -255,12 +254,12 @@ void ForensicsCollector::end_request(OpKind kind, SimTime done) {
   // bit-exactly (converges in one or two steps; failure is counted and, in
   // audit mode, thrown -- the online end of the phase-sum invariant).
   constexpr std::size_t kBw = static_cast<std::size_t>(Phase::kBufferWait);
-  for (int iter = 0; iter < 8; ++iter) {
-    const double total = b.fold();
-    if (total == response) break;
+  double total = b.fold();
+  for (int iter = 0; iter < 8 && total != response; ++iter) {
     b.us[kBw] += response - total;
+    total = b.fold();
   }
-  if (b.fold() != response) {
+  if (total != response) {
     ++reconcile_failures_;
     if (config_.audit)
       throw std::logic_error(

@@ -309,10 +309,27 @@ class ForensicsCollector {
   TenantState& tenant_state(std::uint16_t tenant);
   void save_exemplar(util::StateWriter& w, const Exemplar& ex) const;
   Exemplar load_exemplar(util::StateReader& r) const;
-  /// Slow halves of on_op: dedup-and-record a cause chain / a touched
-  /// block after the inline fast checks miss.
-  void note_chain(std::span<const CauseFrame> chain);
-  void note_block(std::uint32_t chip, std::uint32_t block);
+  /// Distinct cause chains, deduped by a cheap fold of the cause bytes
+  /// (chains are <= ~4 frames deep; the string is only built, by
+  /// add_chain, once per distinct fingerprint per request).
+  void note_chain(std::span<const CauseFrame> chain) {
+    if (chain.empty()) empty_chain_seen_ = true;
+    std::uint64_t fp = 0x9e3779b97f4a7c15ull;
+    for (const CauseFrame& frame : chain)
+      fp = (fp ^ static_cast<std::uint64_t>(frame.cause)) * 0x100000001b3ull;
+    for (std::size_t i = 0; i < chain_count_; ++i)
+      if (chain_fp_[i] == fp) return;
+    add_chain(chain, fp);
+  }
+  void add_chain(std::span<const CauseFrame> chain, std::uint64_t fp);
+  /// Touched physical blocks, first-contact order, bounded (the inline
+  /// caller already rejected a repeat of the most recent contact).
+  void note_block(std::uint32_t chip, std::uint32_t block) {
+    for (const auto& b : blocks_)
+      if (b.first == chip && b.second == block) return;
+    ++blocks_touched_;
+    if (blocks_.size() < kMaxBlocks) blocks_.emplace_back(chip, block);
+  }
   void close_window();
   void write_line(const char* buf);
   void write_exemplar(const Exemplar& ex, std::uint32_t rank);

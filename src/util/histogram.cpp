@@ -13,22 +13,6 @@ Histogram::Histogram(double lo, double hi, std::size_t buckets)
   assert(buckets > 0);
 }
 
-void Histogram::add(double x) noexcept {
-  std::size_t idx;
-  if (x < lo_) {
-    idx = 0;
-    ++underflow_;
-  } else if (x >= hi_) {
-    idx = counts_.size() - 1;
-    ++overflow_;
-  } else {
-    idx = static_cast<std::size_t>((x - lo_) / width_);
-    idx = std::min(idx, counts_.size() - 1);
-  }
-  ++counts_[idx];
-  ++total_;
-}
-
 bool Histogram::merge(const Histogram& other) noexcept {
   if (other.lo_ != lo_ || other.hi_ != hi_ ||
       other.counts_.size() != counts_.size()) {

@@ -21,7 +21,22 @@ class Histogram {
   /// @param buckets  number of buckets (must be > 0)
   Histogram(double lo, double hi, std::size_t buckets);
 
-  void add(double x) noexcept;
+  /// Inline: observers add several samples per simulated request.
+  void add(double x) noexcept {
+    std::size_t idx;
+    if (x < lo_) {
+      idx = 0;
+      ++underflow_;
+    } else if (x >= hi_) {
+      idx = counts_.size() - 1;
+      ++overflow_;
+    } else {
+      idx = static_cast<std::size_t>((x - lo_) / width_);
+      if (idx > counts_.size() - 1) idx = counts_.size() - 1;
+    }
+    ++counts_[idx];
+    ++total_;
+  }
 
   /// Accumulates `other` into this histogram. Both must have identical
   /// shape (lo, hi, bucket count); returns false (and leaves this

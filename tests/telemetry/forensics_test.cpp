@@ -4,6 +4,8 @@
 // tie-break discipline and the windowed blame decomposition.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <random>
 #include <sstream>
@@ -227,6 +229,109 @@ TEST(Forensics, RandomizedSweepsReconcileBitExactly) {
   fc.finish();
   EXPECT_EQ(fc.requests(), 2000u);
   EXPECT_EQ(fc.reconcile_failures(), 0u);
+}
+
+/// Test-local restatement of the collector's interval sweep: coalesce each
+/// op into the previous segment when same-phase and overlapping, clip to
+/// [issue, done), then charge every elementary slice, in time order, to
+/// the highest-priority active phase.
+std::array<double, kPhaseCount> reference_sweep(
+    const std::vector<std::pair<OpEvent, Cause>>& ops, SimTime issue,
+    SimTime done) {
+  struct Seg {
+    SimTime start, end;
+    Phase phase;
+  };
+  std::vector<Seg> segs;
+  for (const auto& [ev, cause] : ops) {
+    const Phase phase = classify_phase(cause, ev.kind);
+    if (!segs.empty() && segs.back().phase == phase &&
+        ev.start <= segs.back().end && ev.start >= segs.back().start) {
+      segs.back().end = std::max(segs.back().end, ev.end);
+    } else {
+      segs.push_back({ev.start, ev.end, phase});
+    }
+  }
+  struct Edge {
+    SimTime at;
+    Phase phase;
+    int delta;
+  };
+  std::vector<Edge> edges;
+  for (const Seg& seg : segs) {
+    const SimTime s = std::max(seg.start, issue);
+    const SimTime e = std::min(seg.end, done);
+    if (e > s) {
+      edges.push_back({s, seg.phase, +1});
+      edges.push_back({e, seg.phase, -1});
+    }
+  }
+  std::stable_sort(edges.begin(), edges.end(),
+                   [](const Edge& x, const Edge& y) { return x.at < y.at; });
+  constexpr Phase kPriority[] = {Phase::kStallGc,   Phase::kStallMaint,
+                                 Phase::kStallFlush, Phase::kRmwRead,
+                                 Phase::kMediaProg, Phase::kMediaRead};
+  std::array<double, kPhaseCount> out{};
+  std::array<int, kPhaseCount> active{};
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    if (i > 0 && edges[i].at > edges[i - 1].at)
+      for (const Phase p : kPriority)
+        if (active[static_cast<std::size_t>(p)] > 0) {
+          out[static_cast<std::size_t>(p)] += edges[i].at - edges[i - 1].at;
+          break;
+        }
+    active[static_cast<std::size_t>(edges[i].phase)] += edges[i].delta;
+  }
+  return out;
+}
+
+TEST(Forensics, ChainedAndOverlappingOpsMatchTheReferenceSweep) {
+  // Chained requests (each op starting no earlier than the previous one
+  // ended) skip the sweep; overlapping ones take it. Both must charge
+  // every phase bit-identically to the reference.
+  std::mt19937 rng(7u);
+  std::uniform_real_distribution<double> dur(0.001, 97.31);
+  std::uniform_int_distribution<int> ops(1, 6);
+  std::uniform_int_distribution<int> pick(0, 6);
+  const Cause causes[] = {Cause::kHost,       Cause::kRmw,
+                          Cause::kFlush,      Cause::kGcCopy,
+                          Cause::kForwardMigration,
+                          Cause::kRetentionEvict, Cause::kWearLevel};
+  const OpKind kinds[] = {OpKind::kRead, OpKind::kProgFull, OpKind::kProgSub,
+                          OpKind::kErase};
+  for (int trial = 0; trial < 500; ++trial) {
+    const bool chained = trial % 2 == 0;
+    const double arrival = dur(rng);
+    const double issue = arrival + dur(rng) * 0.25;
+    double t = issue - dur(rng) * 0.1;  // the first op may precede issue
+    std::vector<std::pair<OpEvent, Cause>> seq;
+    const int n = ops(rng);
+    for (int i = 0; i < n; ++i) {
+      // Chained ops abut or leave a gap; the others may start anywhere.
+      const double s = chained ? t + (pick(rng) < 3 ? 0.0 : dur(rng) * 0.1)
+                               : issue + dur(rng) * 0.5 - 10.0;
+      const double e = s + dur(rng);
+      seq.push_back({flash_op(kinds[pick(rng) % 4], s, e), causes[pick(rng)]});
+      t = e;
+    }
+    const double done = t - (pick(rng) < 2 ? dur(rng) * 0.05 : 0.0);
+
+    std::ostringstream os;
+    ForensicsCollector fc(os, test_header(), {});
+    fc.begin_request(1, arrival, issue, 0);
+    for (const auto& [ev, cause] : seq)
+      fc.on_op(ev, cause, chain_of(cause));
+    fc.end_request(OpKind::kHostWrite, done);
+
+    const auto want = reference_sweep(seq, issue, done);
+    const auto got = fc.tenant_blame()[0].phase_us;
+    for (std::size_t p = 0; p < kPhaseCount; ++p) {
+      if (p == kQueueWait || p == kBufferWait) continue;
+      EXPECT_EQ(got[p], want[p]) << "trial " << trial << " phase " << p;
+    }
+    EXPECT_EQ(got[kQueueWait], issue - arrival);
+    EXPECT_EQ(fc.reconcile_failures(), 0u);
+  }
 }
 
 TEST(Forensics, TopKTiesBreakTowardSmallerRequestId) {
