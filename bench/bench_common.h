@@ -16,6 +16,7 @@
 #include "core/experiment.h"
 #include "core/ssd.h"
 #include "workload/profiles.h"
+#include "workload/synthetic.h"
 
 namespace esp::bench {
 
@@ -112,6 +113,32 @@ struct GeometryOverrides {
       "[--geometry paper|prod] [--channels N] [--chips-per-channel N] "
       "[--blocks-per-chip N] [--pages-per-block N]";
 };
+
+/// The mixed stream macro_replay replays (and perfbench's mixed-prod
+/// runs): a mixed profile rather than one of the paper's five benchmarks
+/// -- small hot sync updates over a confined working set, colder
+/// multi-page writes, a read-heavy tail and occasional trims, so every
+/// maintenance path (GC, retention, wear leveling, idle release) has work.
+/// `think_us` dilates simulated time so compressed retention clocks fire.
+inline workload::SyntheticParams mixed_workload(std::uint32_t sectors_per_page,
+                                                std::uint64_t seed,
+                                                SimTime think_us) {
+  workload::SyntheticParams p;
+  p.sectors_per_page = sectors_per_page;
+  p.r_small = 0.6;
+  p.r_synch = 0.9;
+  p.read_fraction = 0.35;
+  p.trim_fraction = 0.02;
+  p.small_sectors_min = 1;
+  p.small_sectors_max = 3;
+  p.large_pages_min = 1;
+  p.large_pages_max = 4;
+  p.large_align_prob = 0.85;
+  p.small_footprint_fraction = 0.25;
+  p.think_us = think_us;
+  p.seed = seed;
+  return p;
+}
 
 /// Requests that precede every measured window so GC is in steady state
 /// (the preconditioned device still has free blocks; the paper's long

@@ -137,29 +137,6 @@ double maint_share(const CellOut& c) {
                            s.maint_release_idle_ns);
 }
 
-/// The replayed stream: a mixed profile rather than one of the paper's five
-/// benchmarks -- small hot sync updates over a confined working set, colder
-/// multi-page writes, a read-heavy tail and occasional trims, so every
-/// maintenance path (GC, retention, wear leveling, idle release) has work.
-workload::SyntheticParams mixed_workload(std::uint32_t sectors_per_page,
-                                         std::uint64_t seed) {
-  workload::SyntheticParams p;
-  p.sectors_per_page = sectors_per_page;
-  p.r_small = 0.6;
-  p.r_synch = 0.9;
-  p.read_fraction = 0.35;
-  p.trim_fraction = 0.02;
-  p.small_sectors_min = 1;
-  p.small_sectors_max = 3;
-  p.large_pages_min = 1;
-  p.large_pages_max = 4;
-  p.large_align_prob = 0.85;
-  p.small_footprint_fraction = 0.25;
-  p.think_us = 400.0;  // time dilation so retention scans fire mid-replay
-  p.seed = seed;
-  return p;
-}
-
 core::ExperimentCell make_cell(const std::string& geom_name,
                                const nand::Geometry& geo, core::FtlKind kind,
                                const Mode& mode, double budget_scale,
@@ -193,9 +170,10 @@ core::ExperimentCell make_cell(const std::string& geom_name,
 
   // Seed per GEOMETRY: every FTL and both maintenance modes of a geometry
   // replay the identical request stream.
-  auto params =
-      mixed_workload(geo.subpages_per_page,
-                     core::stable_cell_seed("replay/" + geom_name, kBaseSeed));
+  auto params = bench::mixed_workload(
+      geo.subpages_per_page,
+      core::stable_cell_seed("replay/" + geom_name, kBaseSeed),
+      /*think_us=*/400.0);  // time dilation: retention fires mid-replay
   const double write_fraction =
       1.0 - params.read_fraction - params.trim_fraction;
   const double avg_write_sectors =

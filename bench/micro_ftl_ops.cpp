@@ -5,17 +5,22 @@
 
 #include <chrono>
 #include <memory>
+#include <sstream>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/ssd.h"
 #include "ftl/block_allocator.h"
 #include "ftl/fullpage_pool.h"
+#include "ftl/hintless_ftl.h"
 #include "ftl/sub_ftl.h"
 #include "ftl/subpage_pool.h"
 #include "ftl/write_buffer.h"
 #include "nand/cell_model.h"
 #include "nand/device.h"
+#include "sim/driver.h"
 #include "util/rng.h"
+#include "util/serialize.h"
 #include "util/zipf.h"
 #include "workload/synthetic.h"
 
@@ -373,6 +378,68 @@ void BM_RetentionEvict(benchmark::State& state) {
       evicted ? timed_ns / static_cast<double>(evicted) : 0.0;
 }
 BENCHMARK(BM_RetentionEvict)->Iterations(12)->Unit(benchmark::kMillisecond);
+
+// Host cost per request of Driver::run over perfbench's mixed-prod shape:
+// subFTL at prod geometry (78 % of the logical space preconditioned, the
+// compressed retention clock, QD 128) and the seeded mixed stream with
+// verification on. "hinted" runs the driver over the FTL itself; "blind"
+// runs it through ftl::HintlessFtl, which drops Ftl::prefetch and nothing
+// else, so the gap is what the FTL-side cross-request hints buy (the
+// driver's own shadow-map hints run on both sides). Each iteration
+// replays 4096 requests after 40k untimed warmup requests; items/s is
+// requests per second.
+void BM_DriverReplay(benchmark::State& state, bool hinted) {
+  core::SsdConfig cfg;
+  cfg.geometry = nand::prod_geometry();
+  cfg.ftl = core::FtlKind::kSub;
+  cfg.logical_fraction = 0.79;
+  cfg.buffer_sectors = 1024;
+  cfg.gc_reserve_blocks = 16;
+  cfg.queue_depth = 128;
+  cfg.retention_scan_interval = 2 * sim_time::kSecond;
+  cfg.retention_evict_age = 8 * sim_time::kSecond;
+  cfg.wl_check_interval = 256;
+  cfg.wl_pe_threshold = 8;
+  core::Ssd ssd(cfg);
+  constexpr double kPrecondition = 0.78;
+  ssd.precondition(kPrecondition);
+  const std::uint32_t subs = cfg.geometry.subpages_per_page;
+  workload::SyntheticParams params =
+      bench::mixed_workload(subs, /*seed=*/1, /*think_us=*/800.0);
+  params.footprint_sectors =
+      static_cast<std::uint64_t>(kPrecondition *
+                                 static_cast<double>(ssd.logical_sectors())) /
+      subs * subs;
+  params.request_count = ~0ull >> 1;
+  workload::SyntheticWorkload stream(params);
+  ssd.driver().run(stream, /*verify=*/false, 40000);
+
+  // Both sides continue the warmed-up driver state in a driver of their
+  // own, so they differ only in the FTL it calls.
+  ftl::HintlessFtl blind_ftl(ssd.ftl());
+  sim::Driver driver(hinted ? ssd.ftl() : blind_ftl, ssd.device(),
+                     cfg.queue_depth);
+  std::stringstream archive;
+  util::StateWriter w(archive);
+  ssd.driver().save_state(w);
+  util::StateReader r(archive);
+  driver.load_state(r);
+  constexpr std::uint64_t kBatch = 4096;
+  std::uint64_t failures = 0;
+  for (auto _ : state) {
+    const sim::RunMetrics m = driver.run(stream, /*verify=*/true, kBatch);
+    failures += m.verify_failures + m.io_errors;
+    benchmark::DoNotOptimize(m.end_us);
+  }
+  if (failures > 0) state.SkipWithError("verification failures");
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK_CAPTURE(BM_DriverReplay, hinted, true)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_DriverReplay, blind, false)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_CellModelProgram(benchmark::State& state) {
   nand::WordLine wl(4, 8192, nand::CellModelParams{}, util::Xoshiro256(5));

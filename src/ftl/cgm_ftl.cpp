@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "telemetry/metrics.h"
+#include "util/prefetch.h"
 
 namespace esp::ftl {
 
@@ -124,6 +125,22 @@ IoResult CgmFtl::write(std::uint64_t sector, std::uint32_t count, bool /*sync*/,
     remaining -= in_page;
   }
   return IoResult{done, true};
+}
+
+void CgmFtl::prefetch(std::uint64_t sector, std::uint32_t count,
+                      PrefetchStage stage) const {
+  if (count == 0 || sector >= config_.logical_sectors) return;
+  const std::uint64_t last =
+      sector + std::min<std::uint64_t>(count, config_.logical_sectors - sector) -
+      1;
+  const std::uint32_t subs = geo_.subpages_per_page;
+  if (stage == PrefetchStage::kMap) {
+    util::prefetch_range(&version_[sector], &version_[last]);
+    util::prefetch_range(&l2p_[sector / subs], &l2p_[last / subs]);
+    return;
+  }
+  for (std::uint64_t lpn = sector / subs; lpn <= last / subs; ++lpn)
+    if (l2p_[lpn] != nand::kUnmapped) pool_.prefetch_target(l2p_[lpn]);
 }
 
 IoResult CgmFtl::read(std::uint64_t sector, std::uint32_t count, SimTime now,

@@ -48,6 +48,10 @@ class CgmFtl : public Ftl {
                 std::vector<std::uint64_t>* tokens) override;
   IoResult flush(SimTime now) override;
   void trim(std::uint64_t sector, std::uint32_t count) override;
+  /// kMap: the range's version counters and L2P entries; kTarget: the
+  /// pages those L2P entries map.
+  void prefetch(std::uint64_t sector, std::uint32_t count,
+                PrefetchStage stage) const override;
 
   std::uint64_t logical_sectors() const override {
     return config_.logical_sectors;

@@ -18,6 +18,14 @@
 
 namespace esp::ftl {
 
+/// What Ftl::prefetch warms. The driver issues kMap for a request two
+/// ahead of submission and kTarget one request later, when the map
+/// entries kMap pulled are resident and can be followed cheaply.
+enum class PrefetchStage : std::uint8_t {
+  kMap,     ///< the request's per-sector and per-page map entries
+  kTarget,  ///< what those entries point at: device page, pool metadata
+};
+
 class Ftl {
  public:
   virtual ~Ftl() = default;
@@ -52,6 +60,14 @@ class Ftl {
   /// Periodic background hook (retention scanning). Called by the driver
   /// with the current simulated time; cheap when nothing is due.
   virtual SimTime tick(SimTime now) { return now; }
+
+  /// Host-cache hint (util/prefetch.h) for a request the driver will
+  /// submit soon. Changes no FTL state, statistic or simulated time, and
+  /// never throws: a range reaching outside the logical space is clipped
+  /// to it (the request itself is still rejected when submitted). Default:
+  /// no-op.
+  virtual void prefetch(std::uint64_t /*sector*/, std::uint32_t /*count*/,
+                        PrefetchStage /*stage*/) const {}
 
   /// Number of host-visible sectors.
   virtual std::uint64_t logical_sectors() const = 0;

@@ -129,15 +129,17 @@ void FullPagePool::invalidate(std::uint64_t page_lin) {
     push_victim_candidate(block_index(addr.chip, addr.block));
 }
 
-void FullPagePool::prefetch_block_meta(const nand::PageAddr& addr) const {
-  const std::size_t idx = block_index(addr.chip, addr.block);
-  if (idx < meta_.size()) util::prefetch(&meta_[idx]);
+void FullPagePool::prefetch_target(std::uint64_t page_lin) const {
+  if (page_lin >= geo_.total_pages()) return;
+  const nand::PageAddr addr = codec_.decode_page(page_lin);
+  dev_.prefetch_page(addr);
+  util::prefetch(&meta_[block_index(addr.chip, addr.block)]);
 }
 
-void FullPagePool::prefetch_page_meta(const nand::PageAddr& addr) const {
-  const std::size_t idx = block_index(addr.chip, addr.block);
-  if (idx >= meta_.size()) return;
-  const BlockMeta& m = meta_[idx];
+void FullPagePool::prefetch_page_meta(std::uint64_t page_lin) const {
+  if (page_lin >= geo_.total_pages()) return;
+  const nand::PageAddr addr = codec_.decode_page(page_lin);
+  const BlockMeta& m = meta_[block_index(addr.chip, addr.block)];
   if (addr.page < m.lpn_of_page.size())
     util::prefetch(&m.lpn_of_page[addr.page]);
 }

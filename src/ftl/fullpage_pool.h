@@ -59,11 +59,13 @@ class FullPagePool {
   /// Marks a previously written page stale.
   void invalidate(std::uint64_t page_lin);
 
-  /// Host-cache hints (util/prefetch.h) for a batch about to invalidate
-  /// pages: the metadata of the page's block, then -- once that is warm --
-  /// the page's reverse-map entry. No effect on pool state.
-  void prefetch_block_meta(const nand::PageAddr& addr) const;
-  void prefetch_page_meta(const nand::PageAddr& addr) const;
+  /// Host-cache hints (util/prefetch.h) for a page about to be read and
+  /// invalidated: prefetch_target warms the device page and the metadata
+  /// of its block; prefetch_page_meta -- once that is warm -- the page's
+  /// reverse-map entry. No effect on pool or device state; addresses
+  /// outside the device are ignored.
+  void prefetch_target(std::uint64_t page_lin) const;
+  void prefetch_page_meta(std::uint64_t page_lin) const;
 
   /// Runs one GC pass if the pool is over quota or the allocator is below
   /// reserve; returns the (possibly advanced) time.

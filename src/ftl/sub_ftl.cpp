@@ -254,12 +254,10 @@ SimTime SubFtl::evict_batch(std::span<const SectorWrite> batch, SimTime now,
     const std::uint64_t lpn = sorted[k].sector / subs;
     if (k > 0 && sorted[k - 1].sector / subs == lpn) continue;
     if (l2p_[lpn] == nand::kUnmapped) continue;
-    const nand::PageAddr old = codec_.decode_page(l2p_[lpn]);
-    dev_.prefetch_page(old);
-    pool_full_.prefetch_block_meta(old);
-    evict_old_pages_.push_back(old);
+    pool_full_.prefetch_target(l2p_[lpn]);
+    evict_old_pages_.push_back(l2p_[lpn]);
   }
-  for (const nand::PageAddr& old : evict_old_pages_)
+  for (const std::uint64_t old : evict_old_pages_)
     pool_full_.prefetch_page_meta(old);
   SimTime done = now;
   std::size_t i = 0;
@@ -350,6 +348,22 @@ IoResult SubFtl::write(std::uint64_t sector, std::uint32_t count, bool sync,
     done = std::max(done, flush_run(extracted_, now));
   }
   return IoResult{done, true};
+}
+
+void SubFtl::prefetch(std::uint64_t sector, std::uint32_t count,
+                      PrefetchStage stage) const {
+  if (count == 0 || sector >= config_.logical_sectors) return;
+  const std::uint64_t last =
+      sector + std::min<std::uint64_t>(count, config_.logical_sectors - sector) -
+      1;
+  const std::uint32_t subs = geo_.subpages_per_page;
+  if (stage == PrefetchStage::kMap) {
+    util::prefetch_range(&sectors_[sector], &sectors_[last]);
+    util::prefetch_range(&l2p_[sector / subs], &l2p_[last / subs]);
+    return;
+  }
+  for (std::uint64_t lpn = sector / subs; lpn <= last / subs; ++lpn)
+    if (l2p_[lpn] != nand::kUnmapped) pool_full_.prefetch_target(l2p_[lpn]);
 }
 
 IoResult SubFtl::read(std::uint64_t sector, std::uint32_t count, SimTime now,

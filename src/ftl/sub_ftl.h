@@ -74,6 +74,10 @@ class SubFtl : public Ftl {
   IoResult flush(SimTime now) override;
   void trim(std::uint64_t sector, std::uint32_t count) override;
   SimTime tick(SimTime now) override;
+  /// kMap: the range's sector records and L2P entries; kTarget: the full
+  /// pages those L2P entries map.
+  void prefetch(std::uint64_t sector, std::uint32_t count,
+                PrefetchStage stage) const override;
 
   std::uint64_t logical_sectors() const override {
     return config_.logical_sectors;
@@ -131,7 +135,7 @@ class SubFtl : public Ftl {
   /// either).
   std::vector<BufferedSector> extracted_;
   std::vector<SectorWrite> evict_sorted_;
-  std::vector<nand::PageAddr> evict_old_pages_;
+  std::vector<std::uint64_t> evict_old_pages_;  ///< linear page addresses
   std::vector<std::uint64_t> l2p_;      ///< lpn -> linear page (full region)
   /// Everything the hot path keeps per logical sector, packed into one
   /// 8-byte record so a write or read of a sector costs one cache miss:

@@ -1,12 +1,14 @@
 #include "sim/driver.h"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "ftl/types.h"
 #include "telemetry/health.h"
 #include "telemetry/telemetry.h"
 #include "util/logger.h"
+#include "util/prefetch.h"
 
 namespace esp::sim {
 namespace {
@@ -53,6 +55,20 @@ void Driver::check_sector_range(std::uint64_t sector,
   const std::uint64_t sectors = shadow_version_.size();
   if (sector >= sectors || count > sectors - sector)
     throw std::out_of_range("Driver: sector range outside logical space");
+}
+
+void Driver::hint(const workload::Request& request,
+                  ftl::PrefetchStage stage) const {
+  const std::uint64_t sectors = shadow_version_.size();
+  if (stage == ftl::PrefetchStage::kMap && request.count > 0 &&
+      request.sector < sectors)
+    util::prefetch_range(
+        &shadow_version_[request.sector],
+        &shadow_version_[request.sector +
+                         std::min<std::uint64_t>(request.count,
+                                                 sectors - request.sector) -
+                         1]);
+  ftl_.prefetch(request.sector, request.count, stage);
 }
 
 std::uint64_t Driver::expected_token_unchecked(std::uint64_t sector) const {
@@ -175,15 +191,42 @@ RunMetrics Driver::run(workload::RequestSource& source, bool verify,
   const util::Histogram latency_before = latency_;
   const util::Histogram response_before = response_;
 
-  while (max_requests == 0 || metrics.requests < max_requests) {
+  // Read-ahead ring: the request being submitted, then up to kHintDepth
+  // pulled behind it. A pull happens only while this run still owes
+  // requests and the source has not run dry, so the source sees exactly
+  // the next() calls it saw without the ring.
+  std::array<workload::Request, kHintDepth + 1> ring;
+  std::size_t head = 0;
+  std::size_t held = 0;
+  bool dry = false;
+  const auto pull = [&] {
+    if (dry || (max_requests != 0 && metrics.requests + held == max_requests))
+      return;
     const auto request = source.next();
-    if (!request) break;
+    if (!request) {
+      dry = true;
+      return;
+    }
+    ring[(head + held) % ring.size()] = *request;
+    ++held;
+  };
+  for (std::size_t k = 0; k < ring.size(); ++k) pull();
+  while (held > 0) {
+    if (held > kHintDepth)
+      hint(ring[(head + kHintDepth) % ring.size()], ftl::PrefetchStage::kMap);
+    if (held >= kHintDepth)
+      hint(ring[(head + kHintDepth - 1) % ring.size()],
+           ftl::PrefetchStage::kTarget);
+    const workload::Request& request = ring[head];
     ++metrics.requests;
-    if (request->type == workload::Request::Type::kWrite)
+    if (request.type == workload::Request::Type::kWrite)
       ++metrics.write_requests;
-    else if (request->type == workload::Request::Type::kRead)
+    else if (request.type == workload::Request::Type::kRead)
       ++metrics.read_requests;
-    submit(*request, verify);
+    submit(request, verify);
+    head = (head + 1) % ring.size();
+    --held;
+    pull();
   }
 
   // Flush the final (partial) sampling window so short runs still produce

@@ -95,7 +95,11 @@ class Driver {
   Driver(ftl::Ftl& ftl, nand::NandDevice& dev, std::uint32_t queue_depth = 32);
 
   /// Runs the stream starting at the current clock; returns metrics for
-  /// this run only (FTL stats are cumulative snapshots).
+  /// this run only (FTL stats are cumulative snapshots). The driver pulls
+  /// up to kHintDepth requests ahead of the one it submits and hints them
+  /// into the FTL (Ftl::prefetch) and its own shadow map; it never pulls a
+  /// request this run does not submit, so `max_requests` splits a stream
+  /// exactly where it did without the read-ahead.
   /// @param verify        check every read's tokens against the shadow map
   /// @param max_requests  stop after this many requests (0 = to exhaustion);
   ///                      lets callers split one stream into warmup+measure
@@ -182,6 +186,17 @@ class Driver {
   void load_state(util::StateReader& r);
 
  private:
+  /// Read-ahead distance of run(): the map entries of the request
+  /// kHintDepth ahead are hinted, and the targets of the one before it.
+  /// Two is the shortest distance that gives both stages a whole request
+  /// to land before their lines are used (docs/PERFORMANCE.md,
+  /// "Cross-request hints", measures depths 1 and 3 against it).
+  static constexpr std::size_t kHintDepth = 2;
+
+  /// Host-cache hint for a request run() will submit soon: the FTL's
+  /// `stage` (ftl::Ftl::prefetch), and at kMap the request's shadow words.
+  /// Out-of-range requests are clipped, never rejected.
+  void hint(const workload::Request& request, ftl::PrefetchStage stage) const;
   /// One bounds check per request: rejects [sector, sector+count) ranges
   /// outside the logical space so the per-sector shadow loops can index
   /// unchecked.

@@ -30,6 +30,7 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double theta) : n_(n), theta_(theta) {
     alpha_ = 1.0 / (1.0 - theta_);
     zetan_ = zeta(n_, theta_);
     zeta2theta_ = zeta(2, theta_);
+    half_pow_theta_ = std::pow(0.5, theta_);
     eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n_), 1.0 - theta_)) /
            (1.0 - zeta2theta_ / zetan_);
   }
@@ -40,7 +41,7 @@ std::uint64_t ZipfSampler::sample(Xoshiro256& rng) const {
   const double u = rng.uniform();
   const double uz = u * zetan_;
   if (uz < 1.0) return 0;
-  if (uz < 1.0 + std::pow(0.5, theta_)) return 1;
+  if (uz < 1.0 + half_pow_theta_) return 1;
   const auto rank = static_cast<std::uint64_t>(
       static_cast<double>(n_) * std::pow(eta_ * u - eta_ + 1.0, alpha_));
   return rank >= n_ ? n_ - 1 : rank;

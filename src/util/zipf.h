@@ -39,6 +39,7 @@ class ZipfSampler {
   double zetan_ = 0.0;
   double eta_ = 0.0;
   double zeta2theta_ = 0.0;
+  double half_pow_theta_ = 0.0;  ///< 0.5^theta: the rank-1 cut of sample()
 };
 
 /// Maps Zipf ranks onto LBAs so that the hot set is *scattered* across the

@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "ftl/cgm_ftl.h"
 #include "ftl/sub_ftl.h"
 #include "nand/device.h"
+#include "util/serialize.h"
 #include "workload/synthetic.h"
 
 namespace esp::sim {
@@ -254,6 +258,134 @@ TEST(Driver, FlushMatchesInStreamFlushRequest) {
             b.driver->latency_histogram().percentile(0.99));
   EXPECT_EQ(a.ftl->stats().flash_prog_full, b.ftl->stats().flash_prog_full);
   EXPECT_EQ(a.ftl->stats().flash_prog_sub, b.ftl->stats().flash_prog_sub);
+}
+
+/// FixedSource that counts next() calls, the nullopt ones included.
+class CountingSource final : public workload::RequestSource {
+ public:
+  explicit CountingSource(std::vector<Request> requests)
+      : inner_(std::move(requests)) {}
+  std::optional<Request> next() override {
+    ++pulls;
+    return inner_.next();
+  }
+  std::uint64_t pulls = 0;
+
+ private:
+  FixedSource inner_;
+};
+
+std::vector<Request> writes(std::size_t n) {
+  std::vector<Request> out;
+  for (std::size_t i = 0; i < n; ++i)
+    out.push_back({Request::Type::kWrite, 4 * i, 4, false, 0.0});
+  return out;
+}
+
+TEST(Driver, RunPullsExactlyWhatItSubmits) {
+  constexpr std::uint64_t kStream = 10;
+  for (const std::uint64_t max : {0, 1, 2, 3, 10, 12}) {
+    DriverFixture fx;
+    CountingSource src(writes(kStream));
+    const auto m = fx.driver->run(src, true, max);
+    const std::uint64_t submitted = max == 0 ? kStream : std::min(max, kStream);
+    EXPECT_EQ(m.requests, submitted) << "max_requests " << max;
+    // One extra pull, the nullopt, only when the stream ends first.
+    const bool ran_dry = max == 0 || max > kStream;
+    EXPECT_EQ(src.pulls, submitted + (ran_dry ? 1 : 0)) << "max " << max;
+  }
+}
+
+TEST(Driver, SourceRunningDryInsideTheReadAheadRing) {
+  // Streams shorter than the ring: the source ends before the first
+  // submit, and is never asked again once it has returned nullopt.
+  for (const std::size_t n : {0, 1, 2}) {
+    DriverFixture fx;
+    CountingSource src(writes(n));
+    const auto m = fx.driver->run(src, true);
+    EXPECT_EQ(m.requests, n);
+    EXPECT_EQ(src.pulls, n + 1);
+    EXPECT_EQ(fx.driver->verify_failures(), 0u);
+  }
+}
+
+/// cgmFTL that logs host calls and hints in the order the driver makes
+/// them: "w<sector>", "r<sector>", "map<sector>", "target<sector>".
+class RecordingFtl final : public ftl::CgmFtl {
+ public:
+  using CgmFtl::CgmFtl;
+  ftl::IoResult write(std::uint64_t sector, std::uint32_t count, bool sync,
+                      SimTime now) override {
+    log.push_back("w" + std::to_string(sector));
+    return CgmFtl::write(sector, count, sync, now);
+  }
+  ftl::IoResult read(std::uint64_t sector, std::uint32_t count, SimTime now,
+                     std::vector<std::uint64_t>* tokens) override {
+    log.push_back("r" + std::to_string(sector));
+    return CgmFtl::read(sector, count, now, tokens);
+  }
+  void prefetch(std::uint64_t sector, std::uint32_t count,
+                ftl::PrefetchStage stage) const override {
+    log.push_back((stage == ftl::PrefetchStage::kMap ? "map" : "target") +
+                  std::to_string(sector));
+    CgmFtl::prefetch(sector, count, stage);
+  }
+  mutable std::vector<std::string> log;
+};
+
+TEST(Driver, HintsRunTwoAheadAndLegsSubmitInStreamOrder) {
+  nand::NandDevice dev(tiny_geo());
+  ftl::CgmFtl::Config cfg;
+  cfg.logical_sectors = 2048;
+  RecordingFtl ftl(dev, cfg);
+  Driver driver(ftl, dev);
+  std::vector<Request> reqs = writes(5);
+  reqs[3].type = Request::Type::kRead;
+  CountingSource src(std::move(reqs));
+
+  // Warmup leg of two requests, then the measured leg to the end: each
+  // leg hints only requests it submits itself.
+  EXPECT_EQ(driver.run(src, true, 2).requests, 2u);
+  EXPECT_EQ(src.pulls, 2u);
+  EXPECT_EQ(ftl.log, (std::vector<std::string>{"target4", "w0", "w4"}));
+  ftl.log.clear();
+  EXPECT_EQ(driver.run(src, true).requests, 3u);
+  EXPECT_EQ(src.pulls, 6u);
+  EXPECT_EQ(ftl.log, (std::vector<std::string>{"map16", "target12", "w8",
+                                               "target16", "r12", "w16"}));
+  EXPECT_EQ(driver.verify_failures(), 0u);
+}
+
+TEST(Driver, ReadAheadLeavesTheSubmittedStateUnchanged) {
+  // run() over a stream equals submitting the same requests one by one:
+  // same clocks, histograms, shadow map and FTL state.
+  workload::SyntheticParams params;
+  params.footprint_sectors = 2048;
+  params.request_count = 400;
+  params.read_fraction = 0.3;
+  params.trim_fraction = 0.05;
+  params.seed = 9;
+  DriverFixture ran, submitted;
+  workload::SyntheticWorkload a(params), b(params);
+  ran.driver->run(a, true, 150);
+  ran.driver->run(a, true);
+  while (const auto r = b.next()) submitted.driver->submit(*r, true);
+
+  // Device and driver archives plus the FTL's simulated counters (its
+  // maint_*_ns fields are host wall clocks).
+  const auto bytes = [](const DriverFixture& fx) {
+    std::stringstream os;
+    util::StateWriter w(os);
+    fx.driver->save_state(w);
+    fx.dev.save_state(w);
+    ftl::FtlStats stats = fx.ftl->stats();
+    stats.maint_retention_ns = stats.maint_wear_level_ns =
+        stats.maint_release_idle_ns = stats.maint_gc_ns = 0;
+    ftl::save_stats(w, stats);
+    return os.str();
+  };
+  EXPECT_EQ(bytes(ran), bytes(submitted));
+  EXPECT_EQ(ran.driver->verify_failures(), 0u);
 }
 
 }  // namespace

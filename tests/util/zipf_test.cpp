@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 namespace esp::util {
@@ -53,6 +54,48 @@ TEST(ZipfSampler, RankZeroIsHottest) {
   for (int i = 0; i < 100000; ++i) ++counts[zipf.sample(rng)];
   EXPECT_GT(counts[0], counts[10]);
   EXPECT_GT(counts[0], counts[500]);
+}
+
+/// ZipfSampler::sample as written before 0.5^theta moved into the
+/// constructor: recomputes it on every draw (exact zeta, n <= 2^20).
+class ReferenceZipf {
+ public:
+  ReferenceZipf(std::uint64_t n, double theta) : n_(n), theta_(theta) {
+    alpha_ = 1.0 / (1.0 - theta_);
+    for (std::uint64_t i = 1; i <= n_; ++i) zetan_ += std::pow(i, -theta_);
+    const double zeta2theta = 1.0 + std::pow(2, -theta_);
+    eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n_), 1.0 - theta_)) /
+           (1.0 - zeta2theta / zetan_);
+  }
+  std::uint64_t sample(Xoshiro256& rng) const {
+    const double u = rng.uniform();
+    const double uz = u * zetan_;
+    if (uz < 1.0) return 0;
+    if (uz < 1.0 + std::pow(0.5, theta_)) return 1;
+    const auto rank = static_cast<std::uint64_t>(
+        static_cast<double>(n_) * std::pow(eta_ * u - eta_ + 1.0, alpha_));
+    return rank >= n_ ? n_ - 1 : rank;
+  }
+
+ private:
+  std::uint64_t n_;
+  double theta_;
+  double alpha_ = 0.0;
+  double zetan_ = 0.0;
+  double eta_ = 0.0;
+};
+
+TEST(ZipfSampler, DrawsMatchThePerDrawPowFormula) {
+  for (const double theta : {0.5, 0.9, 0.99}) {
+    for (const std::uint64_t n : {std::uint64_t{1000}, std::uint64_t{1} << 20}) {
+      ZipfSampler zipf(n, theta);
+      const ReferenceZipf ref(n, theta);
+      Xoshiro256 a(11), b(11);
+      for (int i = 0; i < 100000; ++i)
+        ASSERT_EQ(zipf.sample(a), ref.sample(b))
+            << "draw " << i << " n=" << n << " theta=" << theta;
+    }
+  }
 }
 
 TEST(ScatteredZipf, ScattersHotSetAcrossSpace) {
